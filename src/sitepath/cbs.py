@@ -67,8 +67,11 @@ class Scenario:
     def __post_init__(self):
         if self.strategy not in STRATEGIES:
             raise ValueError(f"unknown strategy {self.strategy!r}")
+        ids = [a.id for a in self.agents]
         starts = [a.start for a in self.agents]
         goals = [a.goal for a in self.agents]
+        if len(set(ids)) != len(ids):
+            raise ValueError("agent ids must be pairwise distinct")
         if len(set(starts)) != len(starts):
             raise ValueError("agent starts must be pairwise distinct")
         if len(set(goals)) != len(goals):
@@ -133,11 +136,6 @@ def find_conflicts(solution: dict) -> list:
         pos = nxt
     conflicts.sort(key=lambda c: (c.time, c.agents))
     return conflicts
-
-
-def _first_conflict(conflicts: list):
-    """Earliest conflict, ties broken by lower agent ids (list is sorted)."""
-    return conflicts[0] if conflicts else None
 
 
 def _split_constraints(
@@ -530,17 +528,6 @@ def apply_fallback(
     raise ValueError(f"unknown strategy {strategy!r}")
 
 
-def _block_cells(grid: WeightedGridMap, cells) -> WeightedGridMap:
-    return WeightedGridMap(
-        width=grid.width,
-        height=grid.height,
-        layers=grid.layers,
-        obstacles=grid.obstacles | frozenset(cells),
-        danger_objects=grid.danger_objects,
-        cell_size_m=grid.cell_size_m,
-    )
-
-
 def solve(scenario: Scenario) -> PlanResult:
     """Plan conflict-free timed paths for every agent within the deadline.
 
@@ -555,15 +542,27 @@ def solve(scenario: Scenario) -> PlanResult:
     removed: list = []
 
     # time the initial bidirectional phase separately
-    try:
-        full_initial = _initial_solution(scenario.grid, scenario.agents)
-    except UnsolvableError:
-        raise
+    full_initial = _initial_solution(scenario.grid, scenario.agents)
     elapsed_initial = time.monotonic() - t0
 
     active = list(scenario.agents)
     grid = scenario.grid
     root_solution: dict | None = full_initial
+
+    def result(schedule: dict, status: str) -> PlanResult:
+        # removed agents, and everyone on stop-all, get a wait-at-start order
+        for a in scenario.agents:
+            if a.id not in schedule:
+                schedule[a.id] = _wait_at_start(a)
+        return PlanResult(
+            schedule=schedule,
+            total_cost=sic(schedule),
+            removed_agents=list(removed),
+            conflict_log=conflict_log,
+            elapsed_initial_s=elapsed_initial,
+            elapsed_update_s=time.monotonic() - t0 - elapsed_initial,
+            status=status,
+        )
 
     while time.monotonic() < deadline:
         # leave room for a retry after a fallback: each CT attempt gets
@@ -579,20 +578,9 @@ def solve(scenario: Scenario) -> PlanResult:
                 conflict_log,
                 root_solution=root_solution,
             )
-            schedule = dict(goal_node.solution)
-            for a in scenario.agents:
-                if a.id in removed:
-                    schedule[a.id] = _wait_at_start(a)
-            status = "feasible_after_removal" if removed else "optimal"
-            now = time.monotonic()
-            return PlanResult(
-                schedule=schedule,
-                total_cost=sic(schedule),
-                removed_agents=list(removed),
-                conflict_log=conflict_log,
-                elapsed_initial_s=elapsed_initial,
-                elapsed_update_s=now - t0 - elapsed_initial,
-                status=status,
+            return result(
+                dict(goal_node.solution),
+                "feasible_after_removal" if removed else "optimal",
             )
         except _FallbackNeeded as fb:
             root_solution = None
@@ -606,19 +594,8 @@ def solve(scenario: Scenario) -> PlanResult:
                 except DeadlineExceeded:
                     schedule = None
                 if schedule is not None:
-                    for a in scenario.agents:
-                        if a.id in removed:
-                            schedule[a.id] = _wait_at_start(a)
-                    status = "feasible_after_removal" if removed else "optimal"
-                    now = time.monotonic()
-                    return PlanResult(
-                        schedule=schedule,
-                        total_cost=sic(schedule),
-                        removed_agents=list(removed),
-                        conflict_log=conflict_log,
-                        elapsed_initial_s=elapsed_initial,
-                        elapsed_update_s=now - t0 - elapsed_initial,
-                        status=status,
+                    return result(
+                        schedule, "feasible_after_removal" if removed else "optimal"
                     )
             dropped = apply_fallback(
                 active,
@@ -633,7 +610,7 @@ def solve(scenario: Scenario) -> PlanResult:
             removed.extend(dropped)
             kept = [a for a in active if a.id not in dropped]
             parked = [a.start for a in active if a.id in dropped]
-            grid = _block_cells(grid, parked)
+            grid = grid.with_blocked(parked)
             active = kept
             # parking somebody on another agent's goal strands that agent;
             # cascade the removal until everyone left can still reach home
@@ -646,7 +623,7 @@ def solve(scenario: Scenario) -> PlanResult:
                 if not stranded:
                     break
                 removed.extend(a.id for a in stranded)
-                grid = _block_cells(grid, [a.start for a in stranded])
+                grid = grid.with_blocked(a.start for a in stranded)
                 active = [a for a in active if a.id not in {s.id for s in stranded}]
         except UnsolvableError:
             if not removed:
@@ -655,14 +632,4 @@ def solve(scenario: Scenario) -> PlanResult:
             break
 
     # stop-all: every participant gets a command, namely wait
-    schedule = {a.id: _wait_at_start(a) for a in scenario.agents}
-    now = time.monotonic()
-    return PlanResult(
-        schedule=schedule,
-        total_cost=0.0,
-        removed_agents=list(removed),
-        conflict_log=conflict_log,
-        elapsed_initial_s=elapsed_initial,
-        elapsed_update_s=now - t0 - elapsed_initial,
-        status="stop_all",
-    )
+    return result({}, "stop_all")

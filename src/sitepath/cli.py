@@ -35,6 +35,9 @@ EXIT_STOP_ALL = 2
 
 
 def _apply_overrides(scenario: Scenario, args) -> Scenario:
+    # refused here, not by argparse: its exit code 2 would read as stop-all
+    if args.deadline_s is not None and not args.deadline_s >= 0:
+        raise ScenarioError(f"--deadline-s must be nonnegative, got {args.deadline_s}")
     fields = {}
     if args.seed is not None:
         fields["seed"] = args.seed
@@ -219,6 +222,8 @@ def cmd_replan(args) -> int:
         scenario = _load(args.scenario, args)
         schedule = csv_to_schedule(Path(args.schedule).read_text(), scenario)
         deviations = [_parse_deviation(s) for s in args.deviation]
+        if args.now < 0:
+            raise ScenarioError(f"--now must be nonnegative, got {args.now}")
     except (ScenarioError, MapFormatError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT_ERROR
@@ -240,7 +245,12 @@ def cmd_replan(args) -> int:
         except KeyError as exc:
             print(f"error: {exc}", file=sys.stderr)
             return EXIT_INPUT_ERROR
-    result = replan(state, deadline_s=scenario.deadline_s)
+    try:
+        result = replan(state, deadline_s=scenario.deadline_s)
+    except ValueError as exc:
+        # a lag can put a machine on the cell another one stands on
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_INPUT_ERROR
 
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)

@@ -10,7 +10,7 @@ the bottom-left corner; the first row of a map file is the TOP row.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Iterator, NamedTuple
 
 
@@ -68,7 +68,9 @@ class WeightedGridMap:
     obstacles: frozenset = frozenset()
     danger_objects: tuple = ()
     cell_size_m: float = 10.0
-    _min_cost: list = field(default_factory=lambda: [None], repr=False, compare=False)
+    # every cell priced once, indexed y * width + x; IMPASSABLE where blocked
+    _costs: tuple = field(init=False, repr=False, compare=False)
+    _cheapest: float = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.width <= 0 or self.height <= 0:
@@ -82,8 +84,10 @@ class WeightedGridMap:
                 len(row) != self.width for row in layer.weights
             ):
                 raise ValueError(f"layer {layer.name!r} dimensions do not match map")
-            if layer.layer_weight < 0:
-                raise ValueError(f"layer {layer.name!r} has negative layer_weight")
+            if not (math.isfinite(layer.layer_weight) and layer.layer_weight >= 0):
+                raise ValueError(
+                    f"layer {layer.name!r} has invalid layer_weight {layer.layer_weight}"
+                )
             for row in layer.weights:
                 for v in row:
                     if not math.isfinite(v) or v < 0:
@@ -96,6 +100,17 @@ class WeightedGridMap:
                 raise ValueError(f"danger object at {d.position} out of bounds")
             if not (d.intensity > 0 and math.isfinite(d.intensity)):
                 raise ValueError(f"danger object at {d.position} has invalid intensity")
+        costs = []
+        for c in self.cells():
+            if c in self.obstacles or any(c in layer.unknown for layer in self.layers):
+                costs.append(IMPASSABLE)
+                continue
+            terrain = sum(layer.layer_weight * layer.weight_at(c) for layer in self.layers)
+            costs.append(terrain + self.danger_penalty(c))
+        object.__setattr__(self, "_costs", tuple(costs))
+        object.__setattr__(
+            self, "_cheapest", min((v for v in costs if v != IMPASSABLE), default=0.0)
+        )
 
     # -- queries ---------------------------------------------------------
 
@@ -103,9 +118,7 @@ class WeightedGridMap:
         return 0 <= c.x < self.width and 0 <= c.y < self.height
 
     def is_passable(self, c: Cell) -> bool:
-        if not self.in_bounds(c) or c in self.obstacles:
-            return False
-        return all(c not in layer.unknown for layer in self.layers)
+        return self.in_bounds(c) and self._costs[c.y * self.width + c.x] != IMPASSABLE
 
     def cells(self) -> Iterator[Cell]:
         for y in range(self.height):
@@ -124,17 +137,15 @@ class WeightedGridMap:
         """Weighted terrain cost of occupying c; IMPASSABLE for blocked cells."""
         if not self.in_bounds(c):
             raise ValueError(f"cell {c} out of bounds")
-        if not self.is_passable(c):
-            return IMPASSABLE
-        terrain = sum(layer.layer_weight * layer.weight_at(c) for layer in self.layers)
-        return terrain + self.danger_penalty(c)
+        return self._costs[c.y * self.width + c.x]
 
     def min_cell_cost(self) -> float:
         """Cheapest passable cell cost; 0.0 on a fully blocked map."""
-        if self._min_cost[0] is None:
-            costs = [self.cell_cost(c) for c in self.passable_cells()]
-            self._min_cost[0] = min(costs) if costs else 0.0
-        return self._min_cost[0]
+        return self._cheapest
+
+    def with_blocked(self, cells) -> WeightedGridMap:
+        """This map with `cells` turned into obstacles."""
+        return replace(self, obstacles=self.obstacles | frozenset(cells))
 
     def neighbors(self, c: Cell) -> list[Cell]:
         """Wait plus the passable orthogonal moves (branching factor <= 5)."""

@@ -22,8 +22,8 @@ SLOPE_LEVELS = (1.0, 5.0)
 SAFETY_LEVELS = (1.0, 15.0)
 
 
-def _layer(name: str, width: int, height: int, fill=1.0) -> list:
-    return [[fill] * width for _ in range(height)]
+def _layer(width: int, height: int) -> list:
+    return [[1.0] * width for _ in range(height)]
 
 
 def _build(width, height, rough, slope, safety, obstacles) -> WeightedGridMap:
@@ -112,9 +112,9 @@ def open_field(seed: int, width: int = 20, height: int = 13) -> WeightedGridMap:
     """Archetype 1/2 base: mostly easy terrain, a few rough patches and
     scattered material stockpiles."""
     rng = random.Random(seed)
-    rough = _layer("roughness", width, height)
-    slope = _layer("slope", width, height)
-    safety = _layer("safety", width, height)
+    rough = _layer(width, height)
+    slope = _layer(width, height)
+    safety = _layer(width, height)
     _sprinkle(rough, rng, ROUGHNESS_LEVELS, 0.12)
     _sprinkle(slope, rng, SLOPE_LEVELS, 0.06)
     _sprinkle(safety, rng, SAFETY_LEVELS, 0.03)
@@ -127,9 +127,9 @@ def open_field(seed: int, width: int = 20, height: int = 13) -> WeightedGridMap:
 def obstacle_field(seed: int, width: int = 17, height: int = 12) -> WeightedGridMap:
     """Archetype 3: open field cluttered with stockpile blocks."""
     rng = random.Random(seed)
-    rough = _layer("roughness", width, height)
-    slope = _layer("slope", width, height)
-    safety = _layer("safety", width, height)
+    rough = _layer(width, height)
+    slope = _layer(width, height)
+    safety = _layer(width, height)
     _sprinkle(rough, rng, ROUGHNESS_LEVELS, 0.15)
     obstacles = set()
     for _ in range(7):
@@ -146,9 +146,9 @@ def two_side_site(
 ) -> WeightedGridMap:
     """Archetype 4: two working areas joined by a narrow bridge."""
     rng = random.Random(seed)
-    rough = _layer("roughness", width, height)
-    slope = _layer("slope", width, height)
-    safety = _layer("safety", width, height)
+    rough = _layer(width, height)
+    slope = _layer(width, height)
+    safety = _layer(width, height)
     _sprinkle(rough, rng, ROUGHNESS_LEVELS, 0.08)
     wall_x = width // 2
     mid = height // 2
@@ -162,9 +162,9 @@ def two_side_site(
 def mining_site(seed: int, width: int = 17, height: int = 12) -> WeightedGridMap:
     """Archetype 5: nested terraces with a single ramp down."""
     rng = random.Random(seed)
-    rough = _layer("roughness", width, height)
-    slope = _layer("slope", width, height)
-    safety = _layer("safety", width, height)
+    rough = _layer(width, height)
+    slope = _layer(width, height)
+    safety = _layer(width, height)
     ramp_x = width // 2
     rings = min(width, height) // 4
     for ring in range(1, rings + 1):
@@ -248,9 +248,9 @@ def bottleneck_scenario(seed: int, convoy: int = 4) -> Scenario:
     """
     rng = random.Random(seed)
     width, height = 15, 7
-    rough = _layer("roughness", width, height)
-    slope = _layer("slope", width, height)
-    safety = _layer("safety", width, height)
+    rough = _layer(width, height)
+    slope = _layer(width, height)
+    safety = _layer(width, height)
     wall_x = width // 2
     bridge_y = height // 2
     obstacles = {Cell(wall_x, y) for y in range(height) if y != bridge_y}

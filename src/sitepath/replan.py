@@ -77,14 +77,7 @@ def inject_delay(state: ExecutionState, agent_id: str, lag) -> ExecutionState:
 def _blocks_someone(grid: WeightedGridMap, blocked: Cell, agents, positions) -> bool:
     """True if removing `blocked` from the map disconnects any other
     agent's current position from its goal."""
-    closed = WeightedGridMap(
-        width=grid.width,
-        height=grid.height,
-        layers=grid.layers,
-        obstacles=grid.obstacles | {blocked},
-        danger_objects=grid.danger_objects,
-        cell_size_m=grid.cell_size_m,
-    )
+    closed = grid.with_blocked([blocked])
     for a in agents:
         pos = positions[a.id]
         if pos == blocked or pos == a.goal:
@@ -194,16 +187,7 @@ def replan(state: ExecutionState, deadline_s: float = 5.0) -> PlanResult:
     immobile = {a for a in deviants if state.deviations[a] == IMMOBILE}
     mobile_agents = [a for a in state.scenario.agents if a.id not in immobile]
     parked = [state.positions[a] for a in immobile]
-    work_grid = grid
-    if parked:
-        work_grid = WeightedGridMap(
-            width=grid.width,
-            height=grid.height,
-            layers=grid.layers,
-            obstacles=grid.obstacles | set(parked),
-            danger_objects=grid.danger_objects,
-            cell_size_m=grid.cell_size_m,
-        )
+    work_grid = grid.with_blocked(parked) if parked else grid
 
     def run(agents, budget, goal_override=None):
         adjusted = [

@@ -75,10 +75,13 @@ def load_scenario(path) -> Scenario:
         except (KeyError, TypeError, ValueError) as exc:
             raise ScenarioError(f"{path}: bad agent entry {entry!r}: {exc}") from exc
     try:
+        deadline_s = float(doc.get("deadline_s", 5.0))
+        if not deadline_s >= 0:
+            raise ValueError(f"deadline_s must be nonnegative, got {deadline_s}")
         return Scenario(
             grid=grid,
             agents=agents,
-            deadline_s=float(doc.get("deadline_s", 5.0)),
+            deadline_s=deadline_s,
             conflict_threshold=int(doc.get("threshold", 64)),
             strategy=str(doc.get("strategy", "remove")),
             seed=int(doc.get("seed", 0)),
@@ -145,8 +148,16 @@ def csv_to_schedule(text: str, scenario: Scenario) -> dict:
             tok = tok.strip()
             if not tok:
                 break
-            coords = json.loads(tok)
-            cells.append(Cell(*coords))
+            context = f"agent {agent_id}, step {len(cells)}"
+            try:
+                c = _cell(json.loads(tok), context)
+            except json.JSONDecodeError:
+                raise ScenarioError(f"{context}: bad cell {tok!r}") from None
+            if not scenario.grid.is_passable(c):
+                raise ScenarioError(f"{context}: cell {list(c)} is impassable")
+            if cells and abs(c.x - cells[-1].x) + abs(c.y - cells[-1].y) > 1:
+                raise ScenarioError(f"{context}: jump to non-adjacent cell {list(c)}")
+            cells.append(c)
         if not cells:
             raise ScenarioError(f"agent {agent_id}: empty path")
         agent = by_id[agent_id]

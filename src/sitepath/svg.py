@@ -18,12 +18,10 @@ def _px(grid: WeightedGridMap, c: Cell) -> tuple:
     return c.x * CELL, (grid.height - 1 - c.y) * CELL
 
 
-def _terrain_fill(grid: WeightedGridMap, c: Cell) -> str:
+def _terrain_fill(grid: WeightedGridMap, c: Cell, lo: float, hi: float) -> str:
     if not grid.is_passable(c):
         return "#30415d"
     cost = grid.cell_cost(c)
-    lo = grid.min_cell_cost()
-    hi = max(grid.cell_cost(p) for p in grid.passable_cells())
     frac = 0.0 if hi <= lo else (cost - lo) / (hi - lo)
     # green (easy) to red (hard)
     r = int(120 + 120 * frac)
@@ -32,12 +30,14 @@ def _terrain_fill(grid: WeightedGridMap, c: Cell) -> str:
 
 
 def _grid_rects(grid: WeightedGridMap) -> list:
+    lo = grid.min_cell_cost()
+    hi = max((grid.cell_cost(c) for c in grid.passable_cells()), default=lo)
     out = []
     for c in grid.cells():
         x, y = _px(grid, c)
         out.append(
             f'<rect x="{x}" y="{y}" width="{CELL}" height="{CELL}" '
-            f'fill="{_terrain_fill(grid, c)}" stroke="#ffffff" stroke-width="1"/>'
+            f'fill="{_terrain_fill(grid, c, lo, hi)}" stroke="#ffffff" stroke-width="1"/>'
         )
     return out
 

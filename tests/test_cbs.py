@@ -404,6 +404,13 @@ def test_scenario_rejects_duplicate_starts():
     grid = _uniform_grid()
     with pytest.raises(ValueError):
         Scenario(grid=grid, agents=_agents(((0, 0), (1, 1)), ((0, 0), (2, 2))))
+    # two machines under one id would merge into one schedule entry
+    twins = [
+        Agent(id="a0", start=Cell(0, 2), goal=Cell(1, 2)),
+        Agent(id="a0", start=Cell(4, 2), goal=Cell(3, 2)),
+    ]
+    with pytest.raises(ValueError, match="ids"):
+        Scenario(grid=grid, agents=twins)
 
 
 def test_scenario_rejects_unknown_strategy():

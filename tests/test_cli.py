@@ -191,3 +191,35 @@ def test_replan_immobile_corridor_exits_stop_all(tmp_path):
     assert code == EXIT_STOP_ALL
     diff = json.loads((tmp_path / "replanned" / "diff.json").read_text())
     assert diff["stop_all"] is True
+
+
+@pytest.fixture(scope="module")
+def mining_plan(corpus, tmp_path_factory):
+    """The mining scenario and the schedule `sitepath solve` writes for it."""
+    solved = tmp_path_factory.mktemp("mining")
+    scenario_path = corpus / "archetype-5-mining.yaml"
+    assert main(["solve", str(scenario_path), "--out", str(solved)]) == EXIT_OK
+    return [str(scenario_path), str(solved / "schedule.csv")]
+
+
+@pytest.mark.parametrize(
+    "extra",
+    [
+        # a one-step lag puts agent6 on the cell another machine stands on
+        ["--now", "3", "--deviation", "agent6:lag=1"],
+        ["--deadline-s", "-1"],
+        ["--now", "-1"],
+    ],
+    ids=["start-clash", "negative-deadline", "negative-now"],
+)
+def test_replan_refuses_bad_input(mining_plan, tmp_path, extra):
+    code = main(["replan", *mining_plan, "--out", str(tmp_path)] + extra)
+    assert code == EXIT_INPUT_ERROR
+    assert not (tmp_path / "result.json").exists()
+
+
+def test_solve_negative_deadline_is_input_error(corpus, tmp_path):
+    scenario_path = corpus / "archetype-5-mining.yaml"
+    code = main(["solve", str(scenario_path), "--out", str(tmp_path), "--deadline-s", "-1"])
+    assert code == EXIT_INPUT_ERROR
+    assert not (tmp_path / "result.json").exists()

@@ -15,6 +15,7 @@ from sitepath.grid import (
     parse_map,
     serialize_map,
 )
+from sitepath.mapgen import open_field, two_side_site
 from oracles import random_map
 
 SAMPLE = """\
@@ -53,11 +54,31 @@ def test_obstacle_and_unknown_cells_impassable():
     assert grid.cell_cost(Cell(2, 0)) == IMPASSABLE
 
 
+def _direct_cost(grid, c):
+    """A cell's cost recomputed from the layer and danger fields."""
+    if c in grid.obstacles or any(c in layer.unknown for layer in grid.layers):
+        return IMPASSABLE
+    terrain = sum(layer.layer_weight * layer.weights[c.y][c.x] for layer in grid.layers)
+    danger = sum(
+        d.intensity / max(1, abs(c.x - d.position.x) + abs(c.y - d.position.y))
+        for d in grid.danger_objects
+    )
+    return terrain + danger
+
+
+def _sample_and_archetype_maps():
+    return [parse_map(SAMPLE), open_field(3), two_side_site(3)]
+
+
 def test_cell_cost_is_weighted_layer_sum_plus_danger():
     grid = parse_map(SAMPLE)
     # (2, 2): roughness 9*1 + safety 15*2, danger at (3,0) distance 3
     expected = 9.0 + 30.0 + 12.0 / 3
     assert grid.cell_cost(Cell(2, 2)) == pytest.approx(expected)
+    for grid in _sample_and_archetype_maps():
+        for c in grid.cells():
+            assert grid.cell_cost(c) == _direct_cost(grid, c)
+            assert grid.is_passable(c) == (_direct_cost(grid, c) != IMPASSABLE)
 
 
 def test_danger_penalty_clamped_at_own_cell():
@@ -126,6 +147,22 @@ def test_min_cell_cost_matches_direct_minimum():
     grid = parse_map(SAMPLE)
     direct = min(grid.cell_cost(c) for c in grid.passable_cells())
     assert grid.min_cell_cost() == direct
+    for grid in _sample_and_archetype_maps():
+        lo = min(_direct_cost(grid, c) for c in grid.cells())
+        assert grid.min_cell_cost() == lo
+        cheapest = [c for c in grid.cells() if _direct_cost(grid, c) == lo]
+        blocked = grid.with_blocked(cheapest)
+        assert blocked.min_cell_cost() > lo
+        for c in grid.cells():
+            if c in cheapest:
+                assert not blocked.is_passable(c)
+                assert blocked.cell_cost(c) == IMPASSABLE
+            else:
+                assert blocked.cell_cost(c) == grid.cell_cost(c)
+        # the original map is left as it was
+        assert grid.min_cell_cost() == lo
+        assert all(grid.is_passable(c) for c in cheapest)
+        assert blocked.obstacles == grid.obstacles | set(cheapest)
 
 
 @pytest.mark.parametrize(
@@ -138,6 +175,7 @@ def test_min_cell_cost_matches_direct_minimum():
         "map 2 2 10\n",  # no layers
         "map 2 2 10\nlayer a 1\n1 2\n3 4\ndanger 5 0 1\n",  # danger out of bounds
         "map 2 2 10\nlayer a 1\n1 -2\n3 4\n",  # negative weight
+        "map 1 1 10\nlayer a inf\n1\n",  # infinite layer weight
     ],
 )
 def test_malformed_maps_raise_with_line_numbers(text):

@@ -3,6 +3,7 @@
 import csv
 import io
 import json
+from dataclasses import replace
 
 import pytest
 
@@ -76,6 +77,7 @@ def test_load_missing_map_is_scenario_error(tmp_path):
         "map: s.map\nagents: [{id: a, start: [0], goal: [1, 1]}]\n",
         "map: s.map\nagents: [{id: a, start: [0, 0], goal: [9, 9]}]\n",  # off-map
         "map: s.map\nstrategy: bogus\nagents: [{id: a, start: [0, 0], goal: [1, 1]}]\n",
+        "map: s.map\ndeadline_s: -1\nagents: [{id: a, start: [0, 0], goal: [1, 1]}]\n",
     ],
 )
 def test_malformed_scenarios_raise(tmp_path, body):
@@ -129,6 +131,25 @@ def test_csv_rejects_missing_agent():
     )
     with pytest.raises(ScenarioError):
         csv_to_schedule(text, scenario)
+
+
+@pytest.mark.parametrize(
+    "row, reason",
+    [
+        ('m0,"[0, 0]","[1 0]"', "bad cell"),
+        ('m0,"[0, 0]","[0, 1]","[2, 1]"', "non-adjacent"),
+        ('m0,"[0, 0]","[1, 0]","[1, 1]"', "impassable"),
+    ],
+    ids=["malformed", "jump", "obstacle"],
+)
+def test_csv_rejects_invalid_steps(row, reason):
+    scenario = _sample_scenario()
+    scenario = replace(scenario, grid=scenario.grid.with_blocked([Cell(1, 1)]))
+    head = "agent name,start,1,2,3\n"
+    waits = 'm1,"[0, 4]","[0, 4]","[0, 3]"\n'
+    assert csv_to_schedule(head + 'm0,"[0, 0]","[1, 0]"\n' + waits, scenario)
+    with pytest.raises(ScenarioError, match=reason):
+        csv_to_schedule(head + row + "\n" + waits, scenario)
 
 
 def test_result_json_is_complete():
