@@ -71,6 +71,8 @@ class WeightedGridMap:
     # every cell priced once, indexed y * width + x; IMPASSABLE where blocked
     _costs: tuple = field(init=False, repr=False, compare=False)
     _cheapest: float = field(init=False, repr=False, compare=False)
+    # same indexing: the cell itself (the wait), then its passable moves
+    _neighbors: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.width <= 0 or self.height <= 0:
@@ -100,17 +102,28 @@ class WeightedGridMap:
                 raise ValueError(f"danger object at {d.position} out of bounds")
             if not (d.intensity > 0 and math.isfinite(d.intensity)):
                 raise ValueError(f"danger object at {d.position} has invalid intensity")
+        cells = list(self.cells())
         costs = []
-        for c in self.cells():
+        for c in cells:
             if c in self.obstacles or any(c in layer.unknown for layer in self.layers):
                 costs.append(IMPASSABLE)
                 continue
             terrain = sum(layer.layer_weight * layer.weight_at(c) for layer in self.layers)
             costs.append(terrain + self.danger_penalty(c))
+        neighbors = []
+        for c in cells:
+            moves = [c]
+            for d in ORTHOGONAL:
+                x, y = c.x + d.x, c.y + d.y
+                i = y * self.width + x
+                if 0 <= x < self.width and 0 <= y < self.height and costs[i] != IMPASSABLE:
+                    moves.append(cells[i])
+            neighbors.append(tuple(moves))
         object.__setattr__(self, "_costs", tuple(costs))
         object.__setattr__(
             self, "_cheapest", min((v for v in costs if v != IMPASSABLE), default=0.0)
         )
+        object.__setattr__(self, "_neighbors", tuple(neighbors))
 
     # -- queries ---------------------------------------------------------
 
@@ -147,14 +160,12 @@ class WeightedGridMap:
         """This map with `cells` turned into obstacles."""
         return replace(self, obstacles=self.obstacles | frozenset(cells))
 
-    def neighbors(self, c: Cell) -> list[Cell]:
+    def neighbors(self, c: Cell) -> tuple:
         """Wait plus the passable orthogonal moves (branching factor <= 5)."""
-        moves = [c]
-        for d in ORTHOGONAL:
-            n = Cell(c.x + d.x, c.y + d.y)
-            if self.is_passable(n):
-                moves.append(n)
-        return moves
+        # inline bounds check: an out-of-range index would alias another row
+        if not (0 <= c.x < self.width and 0 <= c.y < self.height):
+            raise ValueError(f"cell {c} out of bounds")
+        return self._neighbors[c.y * self.width + c.x]
 
 
 # -- file format ---------------------------------------------------------

@@ -20,7 +20,7 @@ import itertools
 import math
 from dataclasses import dataclass, field
 
-from .grid import Cell, ORTHOGONAL, WeightedGridMap
+from .grid import Cell, WeightedGridMap
 
 
 class Unreachable(Exception):
@@ -157,10 +157,7 @@ def bidirectional_astar(
         closed[side].add(u)
         settle(side, u)
         g_u = dist[side][u]
-        for d in ORTHOGONAL:
-            v = Cell(u.x + d.x, u.y + d.y)
-            if not grid.is_passable(v):
-                continue
+        for v in grid.neighbors(u):
             # forward: pay to enter v; backward: pay to leave u
             step = grid.cell_cost(v) if side == 0 else grid.cell_cost(u)
             g_v = g_u + step
@@ -206,21 +203,17 @@ def goal_distances(grid: WeightedGridMap, goal: Cell) -> dict:
     search, where waiting can only add cost.
     """
     dist = {goal: 0.0}
-    heap = [(0.0, goal.x, goal.y)]
+    heap = [(0.0, goal)]
     while heap:
-        d, x, y = heapq.heappop(heap)
-        u = Cell(x, y)
-        if d > dist.get(u, math.inf):
+        d, u = heapq.heappop(heap)
+        if d > dist[u]:
             continue
         step = grid.cell_cost(u)
-        for dxy in ORTHOGONAL:
-            v = Cell(u.x + dxy.x, u.y + dxy.y)
-            if not grid.is_passable(v):
-                continue
+        for v in grid.neighbors(u):
             nd = d + step
             if nd < dist.get(v, math.inf):
                 dist[v] = nd
-                heapq.heappush(heap, (nd, v.x, v.y))
+                heapq.heappush(heap, (nd, v))
     return dist
 
 
@@ -234,20 +227,16 @@ def start_distances(grid: WeightedGridMap, start: Cell) -> dict:
     if not grid.is_passable(start):
         return {}
     dist = {start: 0.0}
-    heap = [(0.0, start.x, start.y)]
+    heap = [(0.0, start)]
     while heap:
-        d, x, y = heapq.heappop(heap)
-        u = Cell(x, y)
-        if d > dist.get(u, math.inf):
+        d, u = heapq.heappop(heap)
+        if d > dist[u]:
             continue
-        for dxy in ORTHOGONAL:
-            v = Cell(u.x + dxy.x, u.y + dxy.y)
-            if not grid.is_passable(v):
-                continue
+        for v in grid.neighbors(u):
             nd = d + grid.cell_cost(v)
             if nd < dist.get(v, math.inf):
                 dist[v] = nd
-                heapq.heappush(heap, (nd, v.x, v.y))
+                heapq.heappush(heap, (nd, v))
     return dist
 
 
@@ -310,13 +299,11 @@ def constrained_astar(
         raise Unreachable(f"agent {agent.id}: start is constrained at t=0")
 
     p = agent.priority
+    if h_map is None:
+        h_map = goal_distances(grid, agent.goal)
 
-    if h_map is not None:
-        def h_at(c: Cell) -> float:
-            return p * h_map.get(c, math.inf)
-    else:
-        def h_at(c: Cell) -> float:
-            return p * heuristic(grid, c, agent.goal)
+    def h_at(c: Cell) -> float:
+        return p * h_map.get(c, math.inf)
 
     tie = itertools.count()
     start_state = (agent.start, 0)

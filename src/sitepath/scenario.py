@@ -143,6 +143,8 @@ def csv_to_schedule(text: str, scenario: Scenario) -> dict:
         agent_id = row[0]
         if agent_id not in by_id:
             raise ScenarioError(f"schedule lists unknown agent {agent_id!r}")
+        if agent_id in schedule:
+            raise ScenarioError(f"schedule lists agent {agent_id!r} twice")
         cells = []
         for tok in row[1:]:
             tok = tok.strip()

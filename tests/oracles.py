@@ -1,6 +1,7 @@
 """Slow but independent reference implementations used to check the solver.
 
-Everything in here deliberately avoids the package's own search code:
+Everything in here deliberately avoids the package's own search code
+and the map's neighbour table (moves are recomputed by `_moves`):
 plain Dijkstra for single-agent costs, exhaustive joint-state search for
 multi-agent sum-of-costs, brute-force enumeration of timed paths, and a
 cell-by-cell scan for the emergency midway goal.
@@ -11,6 +12,16 @@ import itertools
 import random
 
 from sitepath.grid import Cell, WeightedGridMap, Layer
+
+
+def _moves(grid: WeightedGridMap, cell: Cell) -> list:
+    """The wait, then every in-bounds passable orthogonal step from `cell`."""
+    moves = [cell]
+    for dx, dy in ((1, 0), (-1, 0), (0, 1), (0, -1)):
+        nxt = Cell(cell.x + dx, cell.y + dy)
+        if grid.in_bounds(nxt) and grid.is_passable(nxt):
+            moves.append(nxt)
+    return moves
 
 
 def dijkstra_cost(grid: WeightedGridMap, start: Cell, goal: Cell):
@@ -28,7 +39,7 @@ def dijkstra_cost(grid: WeightedGridMap, start: Cell, goal: Cell):
             continue
         if cell == goal:
             return d
-        for nxt in grid.neighbors(cell):
+        for nxt in _moves(grid, cell):
             if nxt == cell:
                 continue
             nd = d + grid.cell_cost(nxt)
@@ -46,7 +57,7 @@ def all_goal_costs(grid: WeightedGridMap, goal: Cell) -> dict:
         d, cell = heapq.heappop(heap)
         if d > dist[cell]:
             continue
-        for nxt in grid.neighbors(cell):
+        for nxt in _moves(grid, cell):
             if nxt == cell:
                 continue
             # moving nxt -> cell charges `cell`
@@ -68,7 +79,7 @@ def all_start_costs(grid: WeightedGridMap, start: Cell) -> dict:
         d, cell = heapq.heappop(heap)
         if d > dist[cell]:
             continue
-        for nxt in grid.neighbors(cell):
+        for nxt in _moves(grid, cell):
             if nxt == cell:
                 continue
             nd = d + grid.cell_cost(nxt)
@@ -86,7 +97,7 @@ def _connected_without(grid: WeightedGridMap, blocked: Cell, src: Cell, dst: Cel
         cell = frontier.pop()
         if cell == dst:
             return True
-        for nxt in grid.neighbors(cell):
+        for nxt in _moves(grid, cell):
             if nxt != blocked and nxt not in seen:
                 seen.add(nxt)
                 frontier.append(nxt)
@@ -173,7 +184,7 @@ def joint_state_cost(grid: WeightedGridMap, agents):
                 choice_lists.append([(positions[i], 0.0, True)])
                 continue
             opts = []
-            for nxt in grid.neighbors(positions[i]):
+            for nxt in _moves(grid, positions[i]):
                 cost = grid.cell_cost(nxt)  # waits re-charge the cell too
                 if nxt == agents[i].goal:
                     opts.append((nxt, cost, True))
@@ -235,7 +246,7 @@ def enumerate_timed_paths(grid, agent, constraints, horizon):
                 results.append(list(path))
         if t >= horizon:
             return
-        for nxt in grid.neighbors(path[-1]):
+        for nxt in _moves(grid, path[-1]):
             if violates(path[-1], nxt, t + 1):
                 continue
             path.append(nxt)

@@ -16,7 +16,7 @@ from sitepath.grid import (
     serialize_map,
 )
 from sitepath.mapgen import open_field, two_side_site
-from oracles import random_map
+from oracles import _moves, random_map
 
 SAMPLE = """\
 map 4 3 10
@@ -127,6 +127,22 @@ def test_neighbors_exclude_impassable_and_include_wait():
             assert len(nbrs) <= 5
             for n in nbrs[1:]:
                 assert abs(n.x - c.x) + abs(n.y - c.y) == 1
+        # the table answers for every cell, blocked ones included, in order
+        for c in grid.cells():
+            assert grid.neighbors(c) == tuple(_moves(grid, c))
+        w, h = grid.width, grid.height
+        for outside in (Cell(-1, 0), Cell(w, 0), Cell(0, -1), Cell(0, h), Cell(w, h - 1)):
+            with pytest.raises(ValueError):
+                grid.neighbors(outside)
+        free = list(grid.passable_cells())
+        if free:
+            c = rng.choice(free)
+            blocked = grid.with_blocked([c])
+            for n in grid.neighbors(c)[1:]:
+                assert c in grid.neighbors(n)
+                assert c not in blocked.neighbors(n)
+            for n in blocked.cells():
+                assert blocked.neighbors(n) == tuple(_moves(blocked, n))
 
 
 def test_round_trip_identity():

@@ -21,9 +21,11 @@ from sitepath.lowlevel import (
     heuristic,
     manhattan,
     path_cost,
+    start_distances,
 )
 from oracles import (
     all_goal_costs,
+    all_start_costs,
     dijkstra_cost,
     enumerate_timed_paths,
     random_free_cell,
@@ -153,6 +155,23 @@ def test_goal_distances_match_reference():
         assert set(ours) == set(truth)
         for cell, v in truth.items():
             assert ours[cell] == pytest.approx(v)
+
+
+def test_start_distances_match_reference():
+    rng = random.Random(17)
+    for _ in range(40):
+        grid = random_map(rng)
+        start = random_free_cell(grid, rng)
+        if start is None:
+            continue
+        ours = start_distances(grid, start)
+        truth = all_start_costs(grid, start)
+        assert set(ours) == set(truth)
+        for cell, v in truth.items():
+            assert ours[cell] == pytest.approx(v)
+        blocked = [c for c in grid.cells() if not grid.is_passable(c)]
+        if blocked:
+            assert start_distances(grid, rng.choice(blocked)) == {}
 
 
 def test_constrained_equals_bidirectional_without_constraints():

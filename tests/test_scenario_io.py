@@ -139,8 +139,9 @@ def test_csv_rejects_missing_agent():
         ('m0,"[0, 0]","[1 0]"', "bad cell"),
         ('m0,"[0, 0]","[0, 1]","[2, 1]"', "non-adjacent"),
         ('m0,"[0, 0]","[1, 0]","[1, 1]"', "impassable"),
+        ('m0,"[0, 0]","[1, 0]"\nm0,"[0, 0]","[0, 0]"', "twice"),
     ],
-    ids=["malformed", "jump", "obstacle"],
+    ids=["malformed", "jump", "obstacle", "duplicate"],
 )
 def test_csv_rejects_invalid_steps(row, reason):
     scenario = _sample_scenario()
