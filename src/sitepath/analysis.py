@@ -13,7 +13,7 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass, field, replace
 
-from .cbs import PlanResult, Scenario, solve
+from .cbs import Scenario, solve
 from .grid import Cell, Layer, WeightedGridMap
 
 PHASES = ("initial", "update")

@@ -17,7 +17,7 @@ import random
 import time
 from dataclasses import dataclass, field
 
-from .grid import Cell, WeightedGridMap
+from .grid import WeightedGridMap
 from .lowlevel import (
     Agent,
     Constraint,

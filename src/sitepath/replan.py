@@ -13,15 +13,9 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass, field, replace
 
-from .cbs import PlanResult, Scenario, UnsolvableError, find_conflicts, solve
+from .cbs import PlanResult, Scenario, UnsolvableError, sic, solve
 from .grid import Cell, WeightedGridMap
-from .lowlevel import (
-    Agent,
-    TimedPath,
-    Unreachable,
-    bidirectional_astar,
-    start_distances,
-)
+from .lowlevel import Agent, TimedPath, Unreachable, start_distances
 
 IMMOBILE = "immobile"
 
@@ -65,26 +59,28 @@ def inject_delay(state: ExecutionState, agent_id: str, lag) -> ExecutionState:
         planned = state.planned.schedule[agent_id]
         positions[agent_id] = planned.at(max(0, state.now - lag))
         deviations[agent_id] = lag
-    return ExecutionState(
-        scenario=state.scenario,
-        planned=state.planned,
-        now=state.now,
-        positions=positions,
-        deviations=deviations,
-    )
+    return replace(state, positions=positions, deviations=deviations)
 
 
 def _blocks_someone(grid: WeightedGridMap, blocked: Cell, agents, positions) -> bool:
-    """True if removing `blocked` from the map disconnects any other
-    agent's current position from its goal."""
-    closed = grid.with_blocked([blocked])
+    """True if occupying `blocked` for good disconnects any other agent's
+    current position from its goal.
+
+    Each agent floods `grid` from where it stands, never entering
+    `blocked`, until its goal is reached. An agent standing on a cell the
+    map already blocks (an immobile machine) may walk out of it."""
     for a in agents:
         pos = positions[a.id]
         if pos == blocked or pos == a.goal:
             continue
-        try:
-            bidirectional_astar(closed, pos, a.goal)
-        except Unreachable:
+        seen = {pos}
+        frontier = [pos]
+        while frontier and a.goal not in seen:
+            for nxt in grid.neighbors(frontier.pop()):
+                if nxt != blocked and nxt not in seen:
+                    seen.add(nxt)
+                    frontier.append(nxt)
+        if a.goal not in seen:
             return True
     return False
 
@@ -100,6 +96,9 @@ def midway_goal(grid: WeightedGridMap, state: ExecutionState, agent_id: str) -> 
     One Dijkstra pass from the agent's position prices every reachable
     cell; candidates are then taken in cost order and the first that
     meets (a) and (b) wins, so the cut-off check stops at the answer.
+    The check (`_blocks_someone`) floods `grid` once per other agent;
+    cells `grid` already blocks stay closed, but an agent standing on
+    one (an immobile machine) may walk out of it.
     """
     agent = state.agent(agent_id)
     pos = state.positions[agent_id]
@@ -121,24 +120,6 @@ def midway_goal(grid: WeightedGridMap, state: ExecutionState, agent_id: str) -> 
         if not _blocks_someone(grid, c, others, state.positions):
             return c
     raise Unreachable(f"no_midway for agent {agent_id}")
-
-
-def _current_scenario(state: ExecutionState, deadline_s: float, agents=None) -> Scenario:
-    base = state.scenario
-    agents = agents if agents is not None else base.agents
-    moved = [
-        replace(a, start=state.positions[a.id])
-        for a in agents
-    ]
-    return Scenario(
-        grid=base.grid,
-        agents=moved,
-        deadline_s=deadline_s,
-        conflict_threshold=base.conflict_threshold,
-        strategy=base.strategy,
-        seed=base.seed,
-        name=base.name,
-    )
 
 
 def _stop_all(state: ExecutionState, elapsed: float) -> PlanResult:
@@ -176,72 +157,54 @@ def replan(state: ExecutionState, deadline_s: float = 5.0) -> PlanResult:
 
     grid = state.scenario.grid
     deviants = sorted(state.deviations)
+    immobile = {a for a in deviants if state.deviations[a] == IMMOBILE}
 
-    for agent_id in deviants:
-        if state.deviations[agent_id] != IMMOBILE:
-            continue
+    for agent_id in sorted(immobile):
         others = [a for a in state.scenario.agents if a.id != agent_id]
         if _blocks_someone(grid, state.positions[agent_id], others, state.positions):
             return _stop_all(state, time.monotonic() - t0)
 
-    immobile = {a for a in deviants if state.deviations[a] == IMMOBILE}
     mobile_agents = [a for a in state.scenario.agents if a.id not in immobile]
     parked = [state.positions[a] for a in immobile]
     work_grid = grid.with_blocked(parked) if parked else grid
 
-    def run(agents, budget, goal_override=None):
-        adjusted = [
-            replace(a, goal=goal_override[a.id]) if goal_override and a.id in goal_override else a
-            for a in agents
-        ]
-        scenario = _current_scenario(state, budget, adjusted)
-        scenario = replace(scenario, grid=work_grid)
-        return solve(scenario)
+    def run(agents, budget):
+        moved = [replace(a, start=state.positions[a.id]) for a in agents]
+        return solve(
+            replace(state.scenario, grid=work_grid, agents=moved, deadline_s=budget)
+        )
 
     try:
         result = run(mobile_agents, left())
-    except UnsolvableError:
-        return _stop_all(state, time.monotonic() - t0)
-
-    # the budget counts as breached when the fleet could not be solved
-    # cleanly in time: outright stop-all, forced removals, or overrun
-    breached = result.status != "optimal" or left() < 0
-    mobile_deviants = [a for a in deviants if a not in immobile]
-    if breached and mobile_deviants:
-        troublemaker = mobile_deviants[0]
-        rest = [a for a in mobile_agents if a.id != troublemaker]
-        try:
-            without = run(rest, min(deadline_s / 2.0, left()))
-        except UnsolvableError:
-            without = None
-        finished_fast = (
-            without is not None
-            and without.status != "stop_all"
-            and without.elapsed_initial_s + without.elapsed_update_s <= deadline_s / 2.0
-        )
-        if finished_fast:
-            probe = ExecutionState(
-                scenario=state.scenario,
-                planned=without,
-                now=0,
-                positions=state.positions,
-                deviations=state.deviations,
-            )
+        # the budget counts as breached when the fleet could not be solved
+        # cleanly in time: outright stop-all, forced removals, or overrun
+        breached = result.status != "optimal" or left() < 0
+        mobile_deviants = [a for a in deviants if a not in immobile]
+        if breached and mobile_deviants:
+            troublemaker = mobile_deviants[0]
+            rest = [a for a in mobile_agents if a.id != troublemaker]
             try:
-                new_goal = midway_goal(work_grid, probe, troublemaker)
-            except Unreachable:
-                return _stop_all(state, time.monotonic() - t0)
-            if left() <= 0:
-                return _stop_all(state, time.monotonic() - t0)
-            try:
-                result = run(
-                    mobile_agents, left(), goal_override={troublemaker: new_goal}
-                )
+                without = run(rest, min(deadline_s / 2.0, left()))
             except UnsolvableError:
-                return _stop_all(state, time.monotonic() - t0)
-            if result.status == "stop_all":
-                return _stop_all(state, time.monotonic() - t0)
-            result.midway_goals = {troublemaker: new_goal}
+                without = None
+            finished_fast = (
+                without is not None
+                and without.status != "stop_all"
+                and without.elapsed_initial_s + without.elapsed_update_s <= deadline_s / 2.0
+            )
+            if finished_fast:
+                probe = replace(state, planned=without, now=0)
+                new_goal = midway_goal(work_grid, probe, troublemaker)
+                if left() <= 0:
+                    return _stop_all(state, time.monotonic() - t0)
+                redirected = [
+                    replace(a, goal=new_goal) if a.id == troublemaker else a
+                    for a in mobile_agents
+                ]
+                result = run(redirected, left())
+                result.midway_goals = {troublemaker: new_goal}
+    except (UnsolvableError, Unreachable):
+        return _stop_all(state, time.monotonic() - t0)
 
     if result.status == "stop_all":
         return _stop_all(state, time.monotonic() - t0)
@@ -251,5 +214,5 @@ def replan(state: ExecutionState, deadline_s: float = 5.0) -> PlanResult:
         result.schedule[agent_id] = TimedPath(
             cells=[state.positions[agent_id]], cost=0.0
         )
-    result.total_cost = sum(p.cost for p in result.schedule.values())
+    result.total_cost = sic(result.schedule)
     return result

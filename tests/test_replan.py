@@ -9,14 +9,21 @@ import pytest
 from sitepath.cbs import PlanResult, Scenario, find_conflicts, solve
 from sitepath.grid import Cell, parse_map
 from sitepath.lowlevel import Agent, TimedPath, Unreachable
+from sitepath.mapgen import archetype_scenario
 from sitepath.replan import (
     IMMOBILE,
     ExecutionState,
+    _blocks_someone,
     inject_delay,
     midway_goal,
     replan,
 )
-from oracles import midway_goal_reference, random_free_cell, random_map
+from oracles import (
+    _connected_without,
+    midway_goal_reference,
+    random_free_cell,
+    random_map,
+)
 from scenarios import CORRIDOR_TEXT, bridging_scenario
 
 OPEN = "map 6 6 10\nlayer flat 1\n" + "\n".join(["1 1 1 1 1 1"] * 6) + "\n"
@@ -152,12 +159,16 @@ def test_midway_goal_matches_brute_force_reference():
     _assert_midway_matches_reference(three.grid, state, "m0")
 
 
-def test_midway_goal_matches_reference_on_random_maps():
-    # midway_goal reads planned paths only as sets of taken cells, so in
-    # place of a solved schedule each other machine gets a stub path
-    # through the deviant's own cell and a random sixth of the map
+def _random_midway_cases():
+    """(grid, state) pairs on seeded random maps, deviant `m0`.
+
+    midway_goal reads planned paths only as sets of taken cells, so in
+    place of a solved schedule each other machine gets a stub path
+    through the deviant's own cell and a random sixth of the map. Each
+    map is used twice: as drawn, and with `m2` immobile, its cell blocked
+    and no plan of its own.
+    """
     rng = random.Random(11)
-    checked = 0
     for _ in range(40):
         grid = random_map(rng, max_side=8)
         cells = []
@@ -187,15 +198,63 @@ def test_midway_goal_matches_reference_on_random_maps():
             )
             for a in agents[1:]
         }
+        scenario = Scenario(grid=grid, agents=agents)
+        positions = {a.id: a.start for a in agents}
         planned = PlanResult(schedule, 0.0, [], [], 0.0, 0.0, "optimal")
-        state = ExecutionState(
-            scenario=Scenario(grid=grid, agents=agents),
-            planned=planned,
-            positions={a.id: a.start for a in agents},
+        yield grid, ExecutionState(
+            scenario=scenario, planned=planned, positions=positions
         )
+        without_m2 = PlanResult(
+            {"m1": schedule["m1"]}, 0.0, [], [], 0.0, 0.0, "optimal"
+        )
+        yield grid.with_blocked([agents[2].start]), ExecutionState(
+            scenario=scenario,
+            planned=without_m2,
+            positions=positions,
+            deviations={"m2": IMMOBILE},
+        )
+
+
+def test_midway_goal_matches_reference_on_random_maps():
+    checked = 0
+    for grid, state in _random_midway_cases():
         _assert_midway_matches_reference(grid, state, "m0")
         checked += 1
-    assert checked >= 20
+    assert checked >= 40
+
+
+def test_cutoff_check_matches_reference_connectivity():
+    goal_cases = 0
+    for grid, state in _random_midway_cases():
+        others = state.scenario.agents[1:]
+        for c in grid.passable_cells():
+            expected = any(
+                not _connected_without(grid, c, state.positions[a.id], a.goal)
+                for a in others
+                if state.positions[a.id] not in (c, a.goal)
+            )
+            assert _blocks_someone(grid, c, others, state.positions) == expected, c
+            if any(a.goal == c and state.positions[a.id] != c for a in others):
+                assert expected
+                goal_cases += 1
+    assert goal_cases >= 40
+
+
+def test_immobile_machine_does_not_cancel_midway():
+    # one machine breaks down and another lags: the immobile machine
+    # stands on a blocked cell, which must not make every parking cell
+    # look like it cuts the broken machine off
+    sc = archetype_scenario("archetype-1-open-20", 0, deadline_s=600)
+    base = solve(sc)
+    state = ExecutionState(
+        scenario=replace(sc, conflict_threshold=0), planned=base, now=3
+    )
+    state = inject_delay(inject_delay(state, "agent3", 1), "agent4", IMMOBILE)
+    result = replan(state, deadline_s=5)
+    assert result.status != "stop_all"
+    assert result.midway_goals == {"agent3": Cell(18, 3)}
+    assert find_conflicts(result.schedule) == []
+    assert result.schedule["agent4"].cells == [state.positions["agent4"]]
 
 
 def test_bridging_lag_gets_midway_goal():
