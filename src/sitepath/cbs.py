@@ -6,6 +6,10 @@ into constraints, and only the constrained agent is replanned. On top of
 that sits the realtime contract: every participant must receive a
 command (possibly "wait") within the scenario deadline, falling back to
 agent removal / deferral strategies and ultimately to stop-all.
+
+Goal-distance tables are built on first read: each attempt on a grid
+gets one `_GoalTables`, which the constraint-tree search and the joint
+search share and which dies with the attempt.
 """
 
 from __future__ import annotations
@@ -172,6 +176,22 @@ def _split_constraints(
     ]
 
 
+class _GoalTables(dict):
+    """Goal cell -> `goal_distances` table on one grid, built on first read.
+
+    `solve` makes one per attempt, so a table lives only as long as the
+    attempt and the grid it was built for.
+    """
+
+    def __init__(self, grid: WeightedGridMap):
+        super().__init__()
+        self.grid = grid
+
+    def __missing__(self, goal):
+        table = self[goal] = goal_distances(self.grid, goal)
+        return table
+
+
 @dataclass
 class _FallbackNeeded(Exception):
     reason: str
@@ -187,7 +207,9 @@ _COUPLED_SPACE = 500_000
 _COUPLED_STALL_S = 0.75
 
 
-def _joint_search(grid: WeightedGridMap, agents: list, deadline: float):
+def _joint_search(
+    grid: WeightedGridMap, agents: list, deadline: float, goal_tables: _GoalTables
+):
     """Coupled A* over the joint agent state.
 
     Used when the constraint tree thrashes on a small, tightly coupled
@@ -199,7 +221,7 @@ def _joint_search(grid: WeightedGridMap, agents: list, deadline: float):
     entered cell including waits.
     """
     n = len(agents)
-    h_maps = [goal_distances(grid, a.goal) for a in agents]
+    h_maps = [goal_tables[a.goal] for a in agents]
 
     def h(positions, finished):
         total = 0.0
@@ -304,12 +326,17 @@ def _search_ct(
     deadline: float,
     threshold: int,
     conflict_log: list,
+    goal_tables: _GoalTables,
     root_solution: dict | None = None,
 ):
-    """Best-first constraint-tree search; raises on deadline/threshold."""
+    """Best-first constraint-tree search; raises on deadline/threshold.
+
+    `goal_tables` lives for this attempt on this grid; a machine's table
+    is read from it, and so built, only when the machine is first
+    replanned under a constraint.
+    """
     by_id = {a.id: a for a in agents}
     limits = SearchLimits(check=lambda: time.monotonic() >= deadline)
-    h_maps = {a.id: goal_distances(grid, a.goal) for a in agents}
     if root_solution is None:
         root_solution = _initial_solution(grid, agents)
     root_conflicts = find_conflicts(root_solution)
@@ -341,7 +368,7 @@ def _search_ct(
                     agent,
                     node.constraints + new_constraints,
                     limits=limits,
-                    h_map=h_maps[agent.id],
+                    h_map=goal_tables[agent.goal],
                 )
             except Unreachable:
                 path = None
@@ -565,6 +592,8 @@ def solve(scenario: Scenario) -> PlanResult:
         )
 
     while time.monotonic() < deadline:
+        # each pass is one attempt on a new grid: a fallback blocks cells
+        goal_tables = _GoalTables(grid)
         # leave room for a retry after a fallback: each CT attempt gets
         # half of whatever budget is left
         now = time.monotonic()
@@ -576,6 +605,7 @@ def solve(scenario: Scenario) -> PlanResult:
                 attempt_deadline,
                 scenario.conflict_threshold,
                 conflict_log,
+                goal_tables,
                 root_solution=root_solution,
             )
             return result(
@@ -590,7 +620,7 @@ def solve(scenario: Scenario) -> PlanResult:
                 now = time.monotonic()
                 joint_deadline = min(deadline, now + max(0.05, (deadline - now) * 0.75))
                 try:
-                    schedule = _joint_search(grid, active, joint_deadline)
+                    schedule = _joint_search(grid, active, joint_deadline, goal_tables)
                 except DeadlineExceeded:
                     schedule = None
                 if schedule is not None:

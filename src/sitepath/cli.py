@@ -15,7 +15,7 @@ from .analysis import (
     suggest_layout,
     suggest_removal,
 )
-from .cbs import STRATEGIES, Scenario, UnsolvableError, solve
+from .cbs import STRATEGIES, PlanResult, Scenario, UnsolvableError, sic, solve
 from .grid import MapFormatError
 from .mapgen import ARCHETYPES, archetype_scenario
 from .replan import IMMOBILE, ExecutionState, inject_delay, replan
@@ -38,6 +38,8 @@ def _apply_overrides(scenario: Scenario, args) -> Scenario:
     # refused here, not by argparse: its exit code 2 would read as stop-all
     if args.deadline_s is not None and not args.deadline_s >= 0:
         raise ScenarioError(f"--deadline-s must be nonnegative, got {args.deadline_s}")
+    if args.threshold is not None and args.threshold < 0:
+        raise ScenarioError(f"--threshold must be nonnegative, got {args.threshold}")
     fields = {}
     if args.seed is not None:
         fields["seed"] = args.seed
@@ -52,6 +54,12 @@ def _apply_overrides(scenario: Scenario, args) -> Scenario:
 
 def _load(path, args) -> Scenario:
     return _apply_overrides(load_scenario(path), args)
+
+
+def _check_repetitions(args) -> None:
+    # collect_stats would raise mid-run; refuse before any solve, exit 1
+    if args.repetitions < 1:
+        raise ScenarioError(f"--repetitions must be >= 1, got {args.repetitions}")
 
 
 def cmd_solve(args) -> int:
@@ -78,8 +86,12 @@ def cmd_solve(args) -> int:
 def cmd_bench(args) -> int:
     corpus = Path(args.corpus)
     scenario_paths = sorted(corpus.glob("*.yaml"))
-    if not scenario_paths:
-        print(f"error: no scenarios in {corpus}", file=sys.stderr)
+    try:
+        _check_repetitions(args)
+        if not scenario_paths:
+            raise ScenarioError(f"no scenarios in {corpus}")
+    except ScenarioError as exc:
+        print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT_ERROR
     rows = []
     any_ok = False
@@ -147,6 +159,7 @@ def cmd_gen_maps(args) -> int:
 
 def cmd_analyze(args) -> int:
     try:
+        _check_repetitions(args)
         scenario = _load(args.scenario, args)
         stats, results = collect_stats(scenario, args.repetitions)
     except (ScenarioError, MapFormatError, UnsolvableError, OSError) as exc:
@@ -227,8 +240,6 @@ def cmd_replan(args) -> int:
     except (ScenarioError, MapFormatError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT_ERROR
-    from .cbs import PlanResult, sic
-
     planned = PlanResult(
         schedule=schedule,
         total_cost=sic(schedule),

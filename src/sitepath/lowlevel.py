@@ -200,7 +200,9 @@ def goal_distances(grid: WeightedGridMap, goal: Cell) -> dict:
     Backward Dijkstra charging the cell being left, matching the
     forward convention of paying to enter a cell. Usable as an exact
     (hence admissible and consistent) heuristic in the time-expanded
-    search, where waiting can only add cost.
+    search, where waiting can only add cost. The solver builds a table
+    when a search first reads it, and keeps it for one attempt on one
+    grid (`cbs._GoalTables`).
     """
     dist = {goal: 0.0}
     heap = [(0.0, goal)]

@@ -5,13 +5,16 @@ import time
 
 import pytest
 
+import sitepath.cbs as cbs
 from sitepath.cbs import (
     Conflict,
     PlanResult,
     Scenario,
     STRATEGIES,
     UnsolvableError,
+    _GoalTables,
     _initial_solution,
+    _joint_search,
     _split_constraints,
     apply_fallback,
     conflict_counts,
@@ -20,7 +23,14 @@ from sitepath.cbs import (
     solve,
 )
 from sitepath.grid import Cell, parse_map
-from sitepath.lowlevel import Agent, TimedPath, constrained_astar, path_cost
+from sitepath.lowlevel import (
+    Agent,
+    TimedPath,
+    constrained_astar,
+    goal_distances,
+    path_cost,
+)
+from sitepath.mapgen import archetype_scenario, open_field, random_agents
 from oracles import joint_state_cost, random_free_cell, random_map
 
 UNIFORM55 = "map 5 5 10\nlayer flat 1\n" + "\n".join(["1 1 1 1 1"] * 5) + "\n"
@@ -428,3 +438,70 @@ def test_priorities_steer_who_yields():
     assert result.status == "optimal"
     assert find_conflicts(result.schedule) == []
     assert result.schedule["fast"].cells == [Cell(x, 2) for x in range(5)]
+
+
+@pytest.fixture
+def table_builds(monkeypatch):
+    """Every goal table the solver builds, as (grid, goal) pairs in order."""
+    builds = []
+
+    def counting(grid, goal):
+        builds.append((grid, goal))
+        return goal_distances(grid, goal)
+
+    monkeypatch.setattr(cbs, "goal_distances", counting)
+    return builds
+
+
+def test_threshold_zero_solve_builds_no_goal_table(table_builds):
+    # every attempt falls back at its first CT node, before any replanning
+    result = solve(archetype_scenario("archetype-1-open-20", 0, conflict_threshold=0))
+    assert result.removed_agents
+    assert table_builds == []
+
+
+def test_goal_tables_built_once_and_only_when_read(table_builds, monkeypatch):
+    read = []
+
+    def recording(grid, agent, *args, **kwargs):
+        read.append(agent.goal)
+        return constrained_astar(grid, agent, *args, **kwargs)
+
+    monkeypatch.setattr(cbs, "constrained_astar", recording)
+    grid = open_field(0, 10, 8)
+    agents = random_agents(grid, 8, random.Random(0))
+    scenario = Scenario(grid=grid, agents=agents, deadline_s=600, conflict_threshold=10_000)
+    result = solve(scenario)
+    # one attempt on one grid that replans some machines, not all
+    assert result.status == "optimal"
+    assert all(g is grid for g, _ in table_builds)
+    built = [goal for _, goal in table_builds]
+    assert len(built) == len(set(built))
+    assert set(built) == set(read)
+    assert 0 < len(built) < len(agents)
+
+
+def test_joint_search_reads_tables_from_its_store(table_builds):
+    rng = random.Random(23)
+    done = 0
+    while done < 5:
+        grid = random_map(rng, max_side=4, obstacle_p=0.15)
+        free = list(grid.passable_cells())
+        if len(free) < 6:
+            continue
+        starts, goals = rng.sample(free, 3), rng.sample(free, 3)
+        agents = [
+            Agent(id=f"a{i}", start=starts[i], goal=goals[i], priority=1.0)
+            for i in range(3)
+        ]
+        truth = joint_state_cost(grid, agents)
+        if truth is None:
+            continue
+        store = _GoalTables(grid)
+        for a in agents:
+            store[a.goal] = goal_distances(grid, a.goal)
+        schedule = _joint_search(grid, agents, time.monotonic() + 60, store)
+        assert table_builds == []
+        assert find_conflicts(schedule) == []
+        assert sic(schedule) == pytest.approx(truth)
+        done += 1

@@ -209,8 +209,9 @@ def mining_plan(corpus, tmp_path_factory):
         ["--now", "3", "--deviation", "agent6:lag=1"],
         ["--deadline-s", "-1"],
         ["--now", "-1"],
+        ["--threshold", "-1"],
     ],
-    ids=["start-clash", "negative-deadline", "negative-now"],
+    ids=["start-clash", "negative-deadline", "negative-now", "negative-threshold"],
 )
 def test_replan_refuses_bad_input(mining_plan, tmp_path, extra):
     code = main(["replan", *mining_plan, "--out", str(tmp_path)] + extra)
@@ -223,3 +224,17 @@ def test_solve_negative_deadline_is_input_error(corpus, tmp_path):
     code = main(["solve", str(scenario_path), "--out", str(tmp_path), "--deadline-s", "-1"])
     assert code == EXIT_INPUT_ERROR
     assert not (tmp_path / "result.json").exists()
+
+
+@pytest.mark.parametrize("command", ["analyze", "bench"])
+def test_zero_repetitions_is_input_error(corpus, tmp_path, capsys, monkeypatch, command):
+    def no_solve(*args):
+        raise AssertionError("solved despite bad --repetitions")
+
+    monkeypatch.setattr("sitepath.cli.collect_stats", no_solve)
+    target = corpus / "archetype-5-mining.yaml" if command == "analyze" else corpus
+    out = tmp_path / "out"
+    code = main([command, str(target), "--repetitions", "0", "--out", str(out)])
+    assert code == EXIT_INPUT_ERROR
+    assert "error: --repetitions must be >= 1" in capsys.readouterr().err
+    assert not out.exists()

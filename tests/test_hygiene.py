@@ -1,11 +1,15 @@
 """Source hygiene checks that need no linter."""
 
 import ast
+import importlib.util
 from pathlib import Path
 
 import sitepath
+from sitepath.grid import WeightedGridMap
+from sitepath.lowlevel import SearchLimits
 
 SOURCES = sorted(Path(sitepath.__file__).parent.glob("*.py"))
+TRACING = Path(__file__).resolve().parent.parent / "benchmark" / "tracing.py"
 
 
 def test_every_import_is_used():
@@ -30,3 +34,23 @@ def test_every_import_is_used():
             if name not in used
         ]
     assert SOURCES and not unused, unused
+
+
+def test_names_the_benchmark_wraps_resolve():
+    # `--trace 1` patches these by name; a rename would break it silently
+    spec = importlib.util.spec_from_file_location("tracing", TRACING)
+    tracing = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracing)
+    missing = [
+        f"{module}.{attr}"
+        for module, attr, _ in tracing.SPANS
+        if not callable(getattr(importlib.import_module(module), attr, None))
+    ]
+    owners = {"WeightedGridMap": WeightedGridMap, "SearchLimits": SearchLimits}
+    missing += [
+        f"{owner}.{attr}"
+        for owner, attr in tracing.COUNTED.values()
+        if not callable(getattr(owners.get(owner), attr, None))
+    ]
+    assert tracing.SPANS and tracing.COUNTED
+    assert not missing, missing
