@@ -198,14 +198,7 @@ def apply_layout_suggestion(
                 unknown=layer.unknown - set(targets),
             )
         )
-    return WeightedGridMap(
-        width=grid.width,
-        height=grid.height,
-        layers=tuple(layers),
-        obstacles=grid.obstacles - set(targets),
-        danger_objects=grid.danger_objects,
-        cell_size_m=grid.cell_size_m,
-    )
+    return replace(grid, layers=tuple(layers), obstacles=grid.obstacles - set(targets))
 
 
 def suggest_removal(stats: ConflictStats, k: int = 1) -> list:

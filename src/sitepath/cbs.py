@@ -19,7 +19,7 @@ import itertools
 import math
 import random
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 from .grid import WeightedGridMap
 from .lowlevel import (
@@ -194,9 +194,10 @@ class _GoalTables(dict):
 
 @dataclass
 class _FallbackNeeded(Exception):
+    """A CT attempt gives up: `deadline`, `threshold` (too many
+    expansions), `coupled` (hand over to the joint search) or `exhausted`."""
+
     reason: str
-    solution: dict
-    conflicts_seen: list
 
 
 # expansions before a thrashing constraint tree hands a small instance
@@ -323,34 +324,29 @@ def _initial_solution(grid: WeightedGridMap, agents: list) -> dict:
 def _search_ct(
     grid: WeightedGridMap,
     agents: list,
+    proposals: dict,
     deadline: float,
     threshold: int,
     conflict_log: list,
     goal_tables: _GoalTables,
-    root_solution: dict | None = None,
 ):
-    """Best-first constraint-tree search; raises on deadline/threshold.
+    """Best-first constraint-tree search from the root `proposals`.
 
+    Logs the root's conflicts, then each split one (phase `update`), into
+    `conflict_log`; raises `_FallbackNeeded(reason)` on giving up.
     `goal_tables` lives for this attempt on this grid; a machine's table
-    is read from it, and so built, only when the machine is first
-    replanned under a constraint.
+    is built only when the machine is first replanned under a constraint.
     """
     by_id = {a.id: a for a in agents}
     limits = SearchLimits(check=lambda: time.monotonic() >= deadline)
-    if root_solution is None:
-        root_solution = _initial_solution(grid, agents)
-    root_conflicts = find_conflicts(root_solution)
-    conflict_log.extend(
-        Conflict(c.kind, c.agents, c.location, c.time, phase="initial")
-        for c in root_conflicts
-    )
-    root = CTNode(constraints=[], solution=root_solution, cost=sic(root_solution))
+    root_conflicts = find_conflicts(proposals)
+    conflict_log.extend(root_conflicts)
+    root = CTNode(constraints=[], solution=proposals, cost=sic(proposals))
     tie = itertools.count()
     # cost is the primary order; fewer conflicts breaks ties without
     # harming optimality of the first conflict-free node popped
     open_heap = [(root.cost, len(root_conflicts), next(tie), root, root_conflicts, None)]
     counter = 0
-    seen_update: list = []
     horizon = default_horizon(grid)
     n_free = grid.width * grid.height - len(grid.obstacles)
     coupled_ok = n_free ** len(agents) <= _COUPLED_SPACE
@@ -382,18 +378,18 @@ def _search_ct(
 
     while open_heap:
         if time.monotonic() >= deadline:
-            raise _FallbackNeeded("deadline", root_solution, root_conflicts + seen_update)
+            raise _FallbackNeeded("deadline")
         _, _, _, node, conflicts, chosen = heapq.heappop(open_heap)
         if not conflicts:
             return node
         counter += 1
         if counter > threshold:
-            raise _FallbackNeeded("threshold", root_solution, root_conflicts + seen_update)
+            raise _FallbackNeeded("threshold")
         if coupled_ok and (
             counter > _COUPLED_AFTER
             or time.monotonic() - t_start > _COUPLED_STALL_S
         ):
-            raise _FallbackNeeded("coupled", root_solution, root_conflicts + seen_update)
+            raise _FallbackNeeded("coupled")
         try:
             if chosen is None:
                 for conflict in conflicts[:audition]:
@@ -409,9 +405,7 @@ def _search_ct(
                     if rank == 0:
                         break
         except DeadlineExceeded:
-            raise _FallbackNeeded(
-                "deadline", root_solution, root_conflicts + seen_update
-            ) from None
+            raise _FallbackNeeded("deadline") from None
         rank, conflict, children = chosen
         if rank == 0:
             # a cardinal conflict guarantees the cost rises by at least the
@@ -432,11 +426,7 @@ def _search_ct(
                 )
                 counter -= 1
                 continue
-        logged = Conflict(
-            conflict.kind, conflict.agents, conflict.location, conflict.time, phase="update"
-        )
-        conflict_log.append(logged)
-        seen_update.append(logged)
+        conflict_log.append(replace(conflict, phase="update"))
         for new_constraints, path in children:
             if path is None:
                 continue
@@ -452,7 +442,7 @@ def _search_ct(
                 open_heap,
                 (child.cost, len(child_conflicts), next(tie), child, child_conflicts, None),
             )
-    raise _FallbackNeeded("exhausted", root_solution, root_conflicts + seen_update)
+    raise _FallbackNeeded("exhausted")
 
 
 def conflict_counts(conflicts: list) -> dict:
@@ -569,12 +559,11 @@ def solve(scenario: Scenario) -> PlanResult:
     removed: list = []
 
     # time the initial bidirectional phase separately
-    full_initial = _initial_solution(scenario.grid, scenario.agents)
+    proposals = _initial_solution(scenario.grid, scenario.agents)
     elapsed_initial = time.monotonic() - t0
 
     active = list(scenario.agents)
     grid = scenario.grid
-    root_solution: dict | None = full_initial
 
     def result(schedule: dict, status: str) -> PlanResult:
         # removed agents, and everyone on stop-all, get a wait-at-start order
@@ -598,22 +587,25 @@ def solve(scenario: Scenario) -> PlanResult:
         # half of whatever budget is left
         now = time.monotonic()
         attempt_deadline = min(deadline, now + max(0.05, (deadline - now) * 0.5))
+        mark = len(conflict_log)
         try:
+            if removed:
+                # a fallback changed the fleet and the grid: propose afresh
+                proposals = _initial_solution(grid, active)
             goal_node = _search_ct(
                 grid,
                 active,
+                proposals,
                 attempt_deadline,
                 scenario.conflict_threshold,
                 conflict_log,
                 goal_tables,
-                root_solution=root_solution,
             )
             return result(
                 dict(goal_node.solution),
                 "feasible_after_removal" if removed else "optimal",
             )
         except _FallbackNeeded as fb:
-            root_solution = None
             if fb.reason == "coupled":
                 # tightly coupled small instance: the tree is thrashing,
                 # so solve the joint state directly while budget remains
@@ -629,32 +621,24 @@ def solve(scenario: Scenario) -> PlanResult:
                     )
             dropped = apply_fallback(
                 active,
-                fb.solution,
-                fb.conflicts_seen,
+                proposals,
+                conflict_log[mark:],
                 scenario.strategy,
                 k=max(1, len(active) // 8),
                 rng=rng,
             )
             if not dropped:
                 break
-            removed.extend(dropped)
-            kept = [a for a in active if a.id not in dropped]
-            parked = [a.start for a in active if a.id in dropped]
-            grid = grid.with_blocked(parked)
-            active = kept
-            # parking somebody on another agent's goal strands that agent;
+            # parking somebody on another agent's goal strands that agent
+            # (starts are distinct, so only a goal can be parked on);
             # cascade the removal until everyone left can still reach home
-            while True:
-                stranded = [
-                    a
-                    for a in active
-                    if not grid.is_passable(a.start) or not grid.is_passable(a.goal)
-                ]
-                if not stranded:
-                    break
-                removed.extend(a.id for a in stranded)
-                grid = grid.with_blocked(a.start for a in stranded)
-                active = [a for a in active if a.id not in {s.id for s in stranded}]
+            parked = set()
+            while dropped:
+                removed.extend(dropped)
+                parked.update(a.start for a in active if a.id in dropped)
+                active = [a for a in active if a.id not in dropped]
+                dropped = [a.id for a in active if a.goal in parked]
+            grid = grid.with_blocked(parked)
         except UnsolvableError:
             if not removed:
                 raise

@@ -39,8 +39,10 @@ class Agent:
     priority: float = 1.0
 
     def __post_init__(self):
-        if self.priority <= 0:
-            raise ValueError(f"agent {self.id}: priority must be positive")
+        # NaN compares false both ways, and an infinite priority prices
+        # every path at inf, so both would slip past a plain `<= 0`
+        if not (math.isfinite(self.priority) and self.priority > 0):
+            raise ValueError(f"agent {self.id}: priority must be finite and positive")
 
 
 @dataclass
@@ -137,6 +139,8 @@ def bidirectional_astar(
     best = math.inf
     meet: Cell | None = None
 
+    # called on every label update with both current labels, so `best` is
+    # always the cheapest meeting over everything labeled so far
     def settle(side: int, u: Cell) -> None:
         nonlocal best, meet
         other = dist[1 - side]
@@ -155,7 +159,6 @@ def bidirectional_astar(
         if u in closed[side]:
             continue
         closed[side].add(u)
-        settle(side, u)
         g_u = dist[side][u]
         for v in grid.neighbors(u):
             # forward: pay to enter v; backward: pay to leave u
@@ -167,12 +170,6 @@ def bidirectional_astar(
                 h = balanced_heuristics(grid, v, start, goal)[side]
                 heapq.heappush(heaps[side], (g_v + h, next(tie), v))
                 settle(side, v)
-
-    # best meeting node over everything either direction has labeled
-    for u, g_f in dist[0].items():
-        g_r = dist[1].get(u)
-        if g_r is not None and g_f + g_r < best:
-            best, meet = g_f + g_r, u
 
     if meet is None:
         raise Unreachable(f"unreachable: {tuple(start)} -> {tuple(goal)}")

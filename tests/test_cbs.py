@@ -22,7 +22,7 @@ from sitepath.cbs import (
     sic,
     solve,
 )
-from sitepath.grid import Cell, parse_map
+from sitepath.grid import Cell, WeightedGridMap, parse_map
 from sitepath.lowlevel import (
     Agent,
     TimedPath,
@@ -505,3 +505,40 @@ def test_joint_search_reads_tables_from_its_store(table_builds):
         assert find_conflicts(schedule) == []
         assert sic(schedule) == pytest.approx(truth)
         done += 1
+
+
+def test_stranded_cascade_blocks_each_round_in_one_map(monkeypatch):
+    # threshold 0: the first attempt falls back at its root; parking
+    # agent15 at its start covers agent6's goal, so agent6 goes too
+    scenario = archetype_scenario(
+        "archetype-3-obstacles", 2, conflict_threshold=0, deadline_s=600
+    )
+    by_id = {a.id: a for a in scenario.agents}
+    assert by_id["agent15"].start == by_id["agent6"].goal == Cell(7, 11)
+    blocked = []
+    with_blocked = WeightedGridMap.with_blocked
+
+    def counting_with_blocked(grid, cells):
+        cells = set(cells)
+        blocked.append(cells)
+        return with_blocked(grid, cells)
+
+    rounds = []
+
+    def recording_fallback(agents, solution, conflicts, *args, **kwargs):
+        rounds.append(list(conflicts))
+        return apply_fallback(agents, solution, conflicts, *args, **kwargs)
+
+    monkeypatch.setattr(WeightedGridMap, "with_blocked", counting_with_blocked)
+    monkeypatch.setattr(cbs, "apply_fallback", recording_fallback)
+    result = solve(scenario)
+
+    assert result.status == "feasible_after_removal"
+    assert result.removed_agents == ["agent15", "agent6"]
+    for agent_id in result.removed_agents:
+        assert result.schedule[agent_id].cells == [by_id[agent_id].start]
+    assert find_conflicts(result.schedule) == []
+    assert len(rounds) == 1
+    assert blocked == [{by_id["agent15"].start, by_id["agent6"].start}]
+    # the round was handed exactly the root conflicts of the first attempt
+    assert rounds[0] == find_conflicts(_initial_solution(scenario.grid, scenario.agents))

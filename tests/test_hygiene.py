@@ -54,3 +54,17 @@ def test_names_the_benchmark_wraps_resolve():
     ]
     assert tracing.SPANS and tracing.COUNTED
     assert not missing, missing
+
+
+def test_maps_are_built_only_by_the_parser_and_the_generators():
+    # every other module derives a map with `dataclasses.replace`, which
+    # re-runs the same compilation without a field being forgotten
+    callers = {
+        path.name
+        for path in SOURCES
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path)))
+        if isinstance(node, ast.Call)
+        and isinstance(node.func, ast.Name)
+        and node.func.id == "WeightedGridMap"
+    }
+    assert callers == {"grid.py", "mapgen.py"}, callers

@@ -314,5 +314,6 @@ def test_search_limits_abort():
 
 
 def test_agent_requires_positive_priority():
-    with pytest.raises(ValueError):
-        Agent(id="m", start=Cell(0, 0), goal=Cell(1, 0), priority=0.0)
+    for priority in (0.0, math.nan, math.inf, -math.inf):
+        with pytest.raises(ValueError):
+            Agent(id="m", start=Cell(0, 0), goal=Cell(1, 0), priority=priority)
