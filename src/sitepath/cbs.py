@@ -9,7 +9,8 @@ agent removal / deferral strategies and ultimately to stop-all.
 
 Goal-distance tables are built on first read: each attempt on a grid
 gets one `_GoalTables`, which the constraint-tree search and the joint
-search share and which dies with the attempt.
+search share and which dies with the attempt. It also keeps the lazy
+blocked-map tables that constrained A* reads past a target split's ban.
 """
 
 from __future__ import annotations
@@ -24,6 +25,7 @@ from dataclasses import dataclass, field, replace
 from .grid import WeightedGridMap
 from .lowlevel import (
     Agent,
+    BlockedGoalTable,
     Constraint,
     DeadlineExceeded,
     SearchLimits,
@@ -179,16 +181,27 @@ def _split_constraints(
 class _GoalTables(dict):
     """Goal cell -> `goal_distances` table on one grid, built on first read.
 
-    `solve` makes one per attempt, so a table lives only as long as the
-    attempt and the grid it was built for.
+    `blocked(goal, cells)` gives the goal's `BlockedGoalTable` on the grid
+    without `cells`: the completion heuristic `constrained_astar` reads
+    once the bans of a target split have all started. Many CT nodes carry
+    the same split, so the table is kept by (goal, cells) and resumed,
+    never rebuilt. `solve` makes one store per attempt, so every table
+    lives only as long as the attempt and the grid it was built for.
     """
 
     def __init__(self, grid: WeightedGridMap):
         super().__init__()
         self.grid = grid
+        self._blocked: dict = {}
 
     def __missing__(self, goal):
         table = self[goal] = goal_distances(self.grid, goal)
+        return table
+
+    def blocked(self, goal, cells: frozenset) -> BlockedGoalTable:
+        table = self._blocked.get((goal, cells))
+        if table is None:
+            table = self._blocked[goal, cells] = BlockedGoalTable(self.grid, goal, cells)
         return table
 
 
@@ -205,7 +218,6 @@ class _FallbackNeeded(Exception):
 # space (free cells ** agents) that search is allowed to take on
 _COUPLED_AFTER = 600
 _COUPLED_SPACE = 500_000
-_COUPLED_STALL_S = 0.75
 
 
 def _joint_search(
@@ -350,7 +362,6 @@ def _search_ct(
     horizon = default_horizon(grid)
     n_free = grid.width * grid.height - len(grid.obstacles)
     coupled_ok = n_free ** len(agents) <= _COUPLED_SPACE
-    t_start = time.monotonic()
 
     def split_children(node, conflict):
         """Both child (constraints, path) pairs for a conflict; path None
@@ -365,6 +376,7 @@ def _search_ct(
                     node.constraints + new_constraints,
                     limits=limits,
                     h_map=goal_tables[agent.goal],
+                    blocked_tables=goal_tables.blocked,
                 )
             except Unreachable:
                 path = None
@@ -385,10 +397,7 @@ def _search_ct(
         counter += 1
         if counter > threshold:
             raise _FallbackNeeded("threshold")
-        if coupled_ok and (
-            counter > _COUPLED_AFTER
-            or time.monotonic() - t_start > _COUPLED_STALL_S
-        ):
+        if coupled_ok and counter > _COUPLED_AFTER:
             raise _FallbackNeeded("coupled")
         try:
             if chosen is None:

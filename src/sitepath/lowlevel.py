@@ -8,6 +8,18 @@ time-expanded graph (cell, timestep) with wait moves, honours vertex and
 swap constraints handed down by the high level, and scales step costs by
 the agent's soft priority.
 
+`constrained_astar` takes its heuristic from exact cost-to-goal tables.
+Where vertex bans run through to the horizon (the target split bans a
+machine from a cell from the conflict time on), the cells they cover are
+walls for the rest of the search once the latest of those bans has
+started. From then on the heuristic reads a table of the map with those
+cells removed (`BlockedGoalTable`, settled only as far as queries need),
+and a state that cannot reach the goal around them is pruned. This is
+the completion heuristic of the target reasoning in CBSH2-RTC (Li,
+Harabor, Stuckey & Koenig, AIJ 2021): when a banned cell is the only way
+through, the search ends once the states before the ban run out, instead
+of after the whole (cell, t) space up to the horizon.
+
 Path cost convention: entering a cell costs its `cell_cost`; the start
 cell itself is free. A wait charges the current cell again, so idling on
 bad terrain is penalized.
@@ -258,6 +270,63 @@ class SearchLimits:
                 raise DeadlineExceeded()
 
 
+class BlockedGoalTable:
+    """Exact cost-to-goal on `grid` with the cells `blocked` removed,
+    settled on demand.
+
+    A backward Dijkstra from the goal, as in `goal_distances`, that stops
+    once the queried cell is settled and resumes from its frontier on the
+    next miss (Reverse Resumable A*: Silver, AIIDE 2005; with no
+    heuristic, so one table serves queries from anywhere). A cell reads
+    inf once the frontier is empty without reaching it. Values equal
+    `goal_distances(grid.with_blocked(blocked), goal)`, with no map
+    rebuilt and no cell settled that no query needed.
+    """
+
+    def __init__(self, grid: WeightedGridMap, goal: Cell, blocked: frozenset):
+        self.grid = grid
+        self.blocked = blocked
+        self._settled: dict = {}
+        self._labels = {goal: 0.0}
+        self._frontier = [(0.0, goal)]
+        if goal in blocked:
+            # a removed goal cannot be left, so no other cell reaches it
+            self._settled[goal] = 0.0
+            self._frontier = []
+
+    def distance(self, cell: Cell, limits: SearchLimits | None = None) -> float:
+        """Cost-to-goal from `cell`, inf when the goal is out of reach.
+
+        Every `limits.stride` settled cells `limits.check` is consulted
+        (settling is not counted as expansions); a `DeadlineExceeded`
+        leaves the table whole, to be resumed by a later query.
+        """
+        d = self._settled.get(cell)
+        if d is not None:
+            return d
+        grid, blocked, settled = self.grid, self.blocked, self._settled
+        labels, frontier = self._labels, self._frontier
+        check = limits.check if limits is not None else None
+        while frontier:
+            d, u = heapq.heappop(frontier)
+            if u in settled:
+                continue
+            settled[u] = d
+            step = grid.cell_cost(u)
+            for v in grid.neighbors(u):
+                nd = d + step
+                if nd < labels.get(v, math.inf) and v not in blocked:
+                    labels[v] = nd
+                    heapq.heappush(frontier, (nd, v))
+            # checked only once `u` is fully settled, so a raise here
+            # leaves nothing half done
+            if check is not None and len(settled) % limits.stride == 0 and check():
+                raise DeadlineExceeded()
+            if u == cell:
+                return d
+        return math.inf
+
+
 def constrained_astar(
     grid: WeightedGridMap,
     agent: Agent,
@@ -265,6 +334,7 @@ def constrained_astar(
     horizon: int | None = None,
     limits: SearchLimits | None = None,
     h_map: dict | None = None,
+    blocked_tables=None,
 ) -> TimedPath:
     """Cheapest constraint-respecting timed path in the (cell, t) graph.
 
@@ -272,6 +342,15 @@ def constrained_astar(
     destination (waits re-charge the current cell). The path terminates
     at the first goal arrival with no vertex constraint at any later
     timestep, matching goal-stay occupancy.
+
+    The heuristic is `h_map`, the goal's `goal_distances` table, until
+    `t_static`, the latest start among the vertex bans that run through
+    to the horizon. From `t_static` on, the cells those bans cover are
+    walls, and the heuristic is the goal's cost on the map without them,
+    read from `blocked_tables(goal, cells)` (a `BlockedGoalTable`; a
+    fresh one when no lookup is given). A state that cannot reach the
+    goal around the walls is pruned. The heuristic only rises, and only
+    at `t_static`, so it stays consistent and the path stays optimal.
     """
     if not grid.is_passable(agent.start) or not grid.is_passable(agent.goal):
         raise Unreachable(f"agent {agent.id}: start or goal blocked")
@@ -280,6 +359,7 @@ def constrained_astar(
 
     vertex_banned: set[tuple[Cell, int]] = set()
     move_banned: set[tuple[Cell, Cell, int]] = set()
+    banned_at_horizon = []
     last_goal_ban = -1
     for con in constraints:
         if con.agent != agent.id:
@@ -289,6 +369,8 @@ def constrained_astar(
                 last_goal_ban = max(last_goal_ban, con.time)
         elif con.from_cell is None:
             vertex_banned.add((con.vertex, con.time))
+            if con.time == horizon:
+                banned_at_horizon.append(con.vertex)
             if con.vertex == agent.goal:
                 last_goal_ban = max(last_goal_ban, con.time)
         else:
@@ -301,14 +383,32 @@ def constrained_astar(
     if h_map is None:
         h_map = goal_distances(grid, agent.goal)
 
-    def h_at(c: Cell) -> float:
+    # a cell banned at every step up to the horizon is a wall from the
+    # start of that run; all of them are walls from the latest start on
+    t_static = math.inf
+    if banned_at_horizon:
+        t_static = 0
+        for c in banned_at_horizon:
+            t = horizon
+            while (c, t - 1) in vertex_banned:
+                t -= 1
+            t_static = max(t_static, t)
+        walls = frozenset(banned_at_horizon)
+        if blocked_tables is None:
+            static_h = BlockedGoalTable(grid, agent.goal, walls)
+        else:
+            static_h = blocked_tables(agent.goal, walls)
+
+    def h_at(c: Cell, t: int) -> float:
+        if t >= t_static:
+            return p * static_h.distance(c, limits)
         return p * h_map.get(c, math.inf)
 
     tie = itertools.count()
     start_state = (agent.start, 0)
     g_best = {start_state: 0.0}
     parent: dict = {start_state: None}
-    h0 = h_at(agent.start)
+    h0 = h_at(agent.start, 0)
     if math.isinf(h0):
         raise Unreachable(f"agent {agent.id}: goal not reachable")
     open_heap = [(h0, h0, next(tie), start_state)]
@@ -341,7 +441,7 @@ def constrained_astar(
             ns = (nxt, t + 1)
             g_v = g_u + p * grid.cell_cost(nxt)
             if g_v < g_best.get(ns, math.inf):
-                h_v = h_at(nxt)
+                h_v = h_at(nxt, t + 1)
                 if math.isinf(h_v):
                     continue
                 g_best[ns] = g_v

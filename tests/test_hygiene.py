@@ -68,3 +68,44 @@ def test_maps_are_built_only_by_the_parser_and_the_generators():
         and node.func.id == "WeightedGridMap"
     }
     assert callers == {"grid.py", "mapgen.py"}, callers
+
+
+def test_no_state_outlives_a_call():
+    # a cache, a `global` or a mutable module-level container would keep
+    # tables and paths alive across solves; search state lives in, and
+    # dies with, the objects a caller creates
+    allowed = {("mapgen.py", "ARCHETYPES"), ("__init__.py", "__all__")}
+    caches = {"cache", "lru_cache", "cached_property"}
+    containers = (ast.List, ast.Dict, ast.Set, ast.ListComp, ast.DictComp, ast.SetComp)
+    makers = {
+        "list", "dict", "set", "bytearray", "defaultdict", "Counter", "deque", "OrderedDict"
+    }
+
+    def name(node):
+        node = node.func if isinstance(node, ast.Call) else node
+        return node.attr if isinstance(node, ast.Attribute) else getattr(node, "id", None)
+
+    found = []
+    for path in SOURCES:
+        tree = ast.parse(path.read_text(), filename=str(path))
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Global):
+                found.append(f"{path.name}:{node.lineno}: global")
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                found += [
+                    f"{path.name}:{d.lineno}: @{name(d)}"
+                    for d in node.decorator_list
+                    if name(d) in caches
+                ]
+        for node in tree.body:
+            if isinstance(node, (ast.Assign, ast.AnnAssign, ast.AugAssign)) and (
+                isinstance(node.value, containers)
+                or isinstance(node.value, ast.Call) and name(node.value) in makers
+            ):
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                found += [
+                    f"{path.name}:{node.lineno}: {t.id}"
+                    for t in targets
+                    if (path.name, getattr(t, "id", None)) not in allowed
+                ]
+    assert SOURCES and not found, found

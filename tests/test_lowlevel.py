@@ -8,6 +8,7 @@ import pytest
 from sitepath.grid import Cell, parse_map
 from sitepath.lowlevel import (
     Agent,
+    BlockedGoalTable,
     Constraint,
     DeadlineExceeded,
     SearchLimits,
@@ -172,6 +173,135 @@ def test_start_distances_match_reference():
         blocked = [c for c in grid.cells() if not grid.is_passable(c)]
         if blocked:
             assert start_distances(grid, rng.choice(blocked)) == {}
+
+
+def test_blocked_goal_table_matches_reference():
+    """The lazy table equals a full Dijkstra on the map with the cells
+    removed, whatever order the cells are asked in."""
+    rng = random.Random(19)
+    done = banned_goals = unreachable = 0
+    while done < 60:
+        grid = random_map(rng)
+        goal = random_free_cell(grid, rng)
+        if goal is None:
+            continue
+        free = list(grid.passable_cells())
+        cells = set(rng.sample(free, min(len(free), rng.randint(1, 6))))
+        if done % 5 == 0:
+            cells.add(goal)
+        cells = frozenset(cells)
+        truth = all_goal_costs(grid.with_blocked(cells), goal)
+        table = BlockedGoalTable(grid, goal, cells)
+        queries = list(grid.cells())
+        rng.shuffle(queries)
+        for cell in queries:
+            assert table.distance(cell) == pytest.approx(truth.get(cell, math.inf))
+        banned_goals += goal in cells
+        unreachable += any(c not in truth for c in grid.passable_cells())
+        done += 1
+    assert banned_goals and unreachable
+
+
+def test_blocked_goal_table_resumes_after_deadline():
+    """A deadline raised while settling leaves a table that later queries
+    finish correctly; settling is not counted as expansions."""
+    rng = random.Random(23)
+    done = 0
+    while done < 20:
+        grid = random_map(rng)
+        goal = random_free_cell(grid, rng)
+        if goal is None or sum(1 for _ in grid.passable_cells()) < 8:
+            continue
+        cells = frozenset(rng.sample(list(grid.passable_cells()), 2)) - {goal}
+        truth = all_goal_costs(grid.with_blocked(cells), goal)
+        if len(truth) < 6:  # the deadline must come before the last cell
+            continue
+        table = BlockedGoalTable(grid, goal, cells)
+        calls = []
+        limits = SearchLimits(check=lambda: calls.append(1) or len(calls) >= 2, stride=2)
+        far = max(truth, key=truth.get)
+        with pytest.raises(DeadlineExceeded):
+            table.distance(far, limits)
+        assert limits.expansions == 0
+        queries = list(grid.cells())
+        rng.shuffle(queries)
+        for cell in queries:
+            assert table.distance(cell) == pytest.approx(truth.get(cell, math.inf))
+        done += 1
+
+
+def _ban_from(cell, t, horizon):
+    """The target split's shape: `m` stays off `cell` from `t` on."""
+    return [Constraint(agent="m", vertex=cell, time=tt) for tt in range(t, horizon + 1)]
+
+
+def test_ban_to_horizon_versus_enumeration():
+    """Bans that run to the horizon change neither the optimum nor the
+    verdict, against brute force on tiny maps."""
+    rng = random.Random(73)
+    found = unreachable = 0
+    while found + unreachable < 40:
+        grid = random_map(rng, max_side=3, obstacle_p=0.1)
+        start, goal = _random_pair(grid, rng)
+        if start is None or goal is None or start == goal:
+            continue
+        agent = Agent(id="m", start=start, goal=goal, priority=1.0)
+        horizon = 7
+        constraints = []
+        for _ in range(rng.randint(1, 2)):
+            constraints += _ban_from(
+                random_free_cell(grid, rng), rng.randint(1, 5), horizon
+            )
+        for _ in range(rng.randint(0, 2)):
+            constraints.append(
+                Constraint(
+                    agent="m", vertex=random_free_cell(grid, rng), time=rng.randint(1, 4)
+                )
+            )
+        candidates = enumerate_timed_paths(grid, agent, constraints, horizon)
+        try:
+            timed = constrained_astar(grid, agent, constraints, horizon=horizon)
+        except Unreachable:
+            assert not candidates
+            unreachable += 1
+            continue
+        assert candidates
+        assert timed.cost == pytest.approx(min(path_cost(grid, p) for p in candidates))
+        assert timed.cost == pytest.approx(path_cost(grid, timed.cells))
+        found += 1
+    assert found and unreachable
+
+
+WALL = """\
+map 9 5 10
+layer ground 1
+1 1 1 1 # 1 1 1 1
+1 1 1 1 # 1 1 1 1
+1 1 1 1 1 1 1 1 1
+1 1 1 1 # 1 1 1 1
+1 1 1 1 # 1 1 1 1
+"""
+
+
+def test_banned_crossing_is_proved_unreachable_at_once():
+    """Banning a wall's one crossing from t on ends the search once the
+    states before t run out: at most one expansion per (cell, t) with
+    t < 6, where a search to the horizon (t = 56) takes over a thousand."""
+    grid = parse_map(WALL)
+    crossing = Cell(4, 2)
+    agent = Agent(id="m", start=Cell(0, 0), goal=Cell(8, 4), priority=1.0)
+    horizon = default_horizon(grid)
+    n_free = sum(1 for _ in grid.passable_cells())
+    for t in (4, 5, 6):  # the crossing is 6 steps from the start
+        limits = SearchLimits()
+        with pytest.raises(Unreachable):
+            constrained_astar(grid, agent, _ban_from(crossing, t, horizon), limits=limits)
+        assert limits.expansions <= n_free * 6
+    # a cell banned from earlier on does not make the crossing a wall
+    # before its own ban starts
+    for early in ([], _ban_from(Cell(0, 4), 1, horizon)):
+        timed = constrained_astar(grid, agent, early + _ban_from(crossing, 7, horizon))
+        assert timed.at(6) == crossing and timed.cost == pytest.approx(12.0)
 
 
 def test_constrained_equals_bidirectional_without_constraints():
