@@ -11,6 +11,13 @@ Goal-distance tables are built on first read: each attempt on a grid
 gets one `_GoalTables`, which the constraint-tree search and the joint
 search share and which dies with the attempt. It also keeps the lazy
 blocked-map tables that constrained A* reads past a target split's ban.
+
+A constraint-tree child costs only what changed. A node keeps each
+agent's own constraints as a frozenset, so a child extends one entry.
+Within an attempt, constrained A* runs once per (agent, constraint set),
+however many sibling nodes re-split the same conflict. A child's
+conflicts are its parent's with the replanned agent's conflicts
+detected afresh.
 """
 
 from __future__ import annotations
@@ -55,7 +62,7 @@ class Conflict:
 
 @dataclass
 class CTNode:
-    constraints: list
+    constraints: dict  # agent id -> frozenset of that agent's own constraints
     solution: dict  # agent id -> TimedPath
     cost: float
 
@@ -104,12 +111,30 @@ def sic(solution: dict) -> float:
     return sum(p.cost for p in solution.values())
 
 
-def find_conflicts(solution: dict) -> list:
+def find_conflicts(
+    solution: dict, parent: list | None = None, changed: str | None = None
+) -> list:
     """Every vertex and swap conflict in time order, goal-stay included.
 
     Following moves (entering a cell the instant its occupant leaves) and
     rotation cycles are allowed and not reported.
+
+    `parent` may give the conflicts of a solution that differs from this
+    one only in the path of agent `changed`. Those that do not name
+    `changed` still hold, so only that agent is checked against the
+    rest. The list is the one a full scan gives, order included: the
+    order is by `(time, agents)`, and a pair cannot have a vertex and a
+    swap conflict at the same time.
     """
+    if parent is not None:
+        # the others' conflicts ignore the horizon unless two of them
+        # are parked on one cell (never with distinct goals)
+        ends = {p.cells[-1] for i, p in solution.items() if i != changed}
+        if len(ends) == len(solution) - 1:
+            conflicts = [c for c in parent if changed not in c.agents]
+            conflicts += _conflicts_of(solution, changed)
+            conflicts.sort(key=lambda c: (c.time, c.agents))
+            return conflicts
     ids = sorted(solution)
     horizon = max((len(solution[i]) for i in ids), default=0)
     conflicts = []
@@ -141,6 +166,32 @@ def find_conflicts(solution: dict) -> list:
                         )
         pos = nxt
     conflicts.sort(key=lambda c: (c.time, c.agents))
+    return conflicts
+
+
+def _conflicts_of(solution: dict, agent_id: str) -> list:
+    """The conflicts between `agent_id` and every other path, unsorted."""
+    horizon = max(len(p) for p in solution.values())
+    cells = set(solution[agent_id].cells)
+    conflicts = []
+    for other in solution:
+        if other == agent_id or cells.isdisjoint(solution[other].cells):
+            continue
+        i, j = sorted((agent_id, other))
+        a, b = solution[i], solution[j]
+        moving = max(len(a), len(b))
+        for t in range(horizon):
+            ca, cb = a.at(t), b.at(t)
+            if ca == cb:
+                conflicts.append(
+                    Conflict(kind="vertex", agents=(i, j), location=ca, time=t)
+                )
+            elif t >= moving:
+                break  # both parked, on different cells
+            elif a.at(t + 1) == cb and b.at(t + 1) == ca:
+                conflicts.append(
+                    Conflict(kind="edge", agents=(i, j), location=(ca, cb), time=t)
+                )
     return conflicts
 
 
@@ -348,39 +399,52 @@ def _search_ct(
     `conflict_log`; raises `_FallbackNeeded(reason)` on giving up.
     `goal_tables` lives for this attempt on this grid; a machine's table
     is built only when the machine is first replanned under a constraint.
+
+    A path depends only on the grid, the machine and its own constraints,
+    so the attempt keeps each constrained path by (machine id, constraint
+    set), with None for a machine left without a route. Sibling nodes
+    that split the same conflict read it there instead of searching
+    again. A child's conflicts are derived from its parent's.
     """
     by_id = {a.id: a for a in agents}
     limits = SearchLimits(check=lambda: time.monotonic() >= deadline)
     root_conflicts = find_conflicts(proposals)
     conflict_log.extend(root_conflicts)
-    root = CTNode(constraints=[], solution=proposals, cost=sic(proposals))
+    root = CTNode(constraints={}, solution=proposals, cost=sic(proposals))
     tie = itertools.count()
     # cost is the primary order; fewer conflicts breaks ties without
     # harming optimality of the first conflict-free node popped
     open_heap = [(root.cost, len(root_conflicts), next(tie), root, root_conflicts, None)]
     counter = 0
     horizon = default_horizon(grid)
-    n_free = grid.width * grid.height - len(grid.obstacles)
-    coupled_ok = n_free ** len(agents) <= _COUPLED_SPACE
+    coupled_ok = grid.passable_count() ** len(agents) <= _COUPLED_SPACE
+    # (agent id, its constraints) -> (those constraints, TimedPath or None);
+    # children take the stored set, so equal sets are held once
+    paths: dict = {}
 
     def split_children(node, conflict):
-        """Both child (constraints, path) pairs for a conflict; path None
-        when the constrained agent has no route left."""
+        """Both child (agent id, its constraints, path) triples for a
+        conflict; path None when the constrained agent has no route left."""
         out = []
         for new_constraints in _split_constraints(conflict, node.solution, horizon):
             agent = by_id[new_constraints[0].agent]
-            try:
-                path = constrained_astar(
-                    grid,
-                    agent,
-                    node.constraints + new_constraints,
-                    limits=limits,
-                    h_map=goal_tables[agent.goal],
-                    blocked_tables=goal_tables.blocked,
-                )
-            except Unreachable:
-                path = None
-            out.append((new_constraints, path))
+            own = node.constraints.get(agent.id, frozenset()).union(new_constraints)
+            key = (agent.id, own)
+            if key not in paths:
+                # a search cut by the deadline raises before it is stored
+                try:
+                    path = constrained_astar(
+                        grid,
+                        agent,
+                        own,
+                        limits=limits,
+                        h_map=goal_tables[agent.goal],
+                        blocked_tables=goal_tables.blocked,
+                    )
+                except Unreachable:
+                    path = None
+                paths[key] = own, path
+            out.append((agent.id, *paths[key]))
         return out
 
     # how many of a node's conflicts to audition per expansion; cardinal
@@ -404,8 +468,8 @@ def _search_ct(
                 for conflict in conflicts[:audition]:
                     children = split_children(node, conflict)
                     raised = 0
-                    for new_constraints, path in children:
-                        old = node.solution[new_constraints[0].agent]
+                    for agent_id, _, path in children:
+                        old = node.solution[agent_id]
                         if path is None or path.cost > old.cost + 1e-9:
                             raised += 1
                     rank = 2 - raised
@@ -421,8 +485,8 @@ def _search_ct(
             # cheaper child's increase; defer the node under that bound so
             # the search stops dwelling on equal-cost plateaus
             bump = min(
-                (path.cost - node.solution[nc[0].agent].cost) if path else math.inf
-                for nc, path in children
+                (path.cost - node.solution[agent_id].cost) if path else math.inf
+                for agent_id, _, path in children
             )
             if (
                 math.isfinite(bump)
@@ -436,17 +500,19 @@ def _search_ct(
                 counter -= 1
                 continue
         conflict_log.append(replace(conflict, phase="update"))
-        for new_constraints, path in children:
+        for agent_id, own, path in children:
             if path is None:
                 continue
             child_solution = dict(node.solution)
-            child_solution[new_constraints[0].agent] = path
+            child_solution[agent_id] = path
             child = CTNode(
-                constraints=node.constraints + new_constraints,
+                constraints={**node.constraints, agent_id: own},
                 solution=child_solution,
                 cost=sic(child_solution),
             )
-            child_conflicts = find_conflicts(child_solution)
+            child_conflicts = find_conflicts(
+                child_solution, parent=conflicts, changed=agent_id
+            )
             heapq.heappush(
                 open_heap,
                 (child.cost, len(child_conflicts), next(tie), child, child_conflicts, None),

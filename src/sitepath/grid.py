@@ -141,6 +141,11 @@ class WeightedGridMap:
     def passable_cells(self) -> Iterator[Cell]:
         return (c for c in self.cells() if self.is_passable(c))
 
+    def passable_count(self) -> int:
+        """How many cells a machine may occupy: obstacles and unknown
+        cells excluded."""
+        return len(self._costs) - self._costs.count(IMPASSABLE)
+
     def danger_penalty(self, c: Cell) -> float:
         if not self.in_bounds(c):
             raise ValueError(f"cell {c} out of bounds")

@@ -131,6 +131,59 @@ def test_find_conflicts_matches_naive_detector():
         assert ours == naive
 
 
+def _random_walk(rng, grid, free):
+    cells = [rng.choice(free)]
+    for _ in range(rng.randint(0, 8)):
+        cells.append(rng.choice(grid.neighbors(cells[-1])))  # waits included
+    return TimedPath(cells=cells, cost=0.0)
+
+
+def test_child_conflicts_from_parent_equal_a_full_scan():
+    rng = random.Random(12)
+    grid = parse_map("map 4 4 10\nlayer flat 1\n" + "1 1 1 1\n" * 4)
+    free = list(grid.passable_cells())
+    seen = dict.fromkeys(
+        ("wait", "parked", "swap", "following", "three", "ends-distinct", "ends-shared"),
+        0,
+    )
+    for _ in range(400):
+        ids = [f"m{i}" for i in range(rng.randint(3, 6))]
+        parent = {i: _random_walk(rng, grid, free) for i in ids}
+        changed = rng.choice(sorted(parent))
+        child = dict(parent, **{changed: _random_walk(rng, grid, free)})
+        if rng.random() < 0.5:
+            # distinct ends for the others, as distinct goals give
+            ends = rng.sample(free, len(child))
+            for (i, p), end in zip(sorted(child.items()), ends):
+                if i != changed:
+                    child[i] = parent[i] = TimedPath(cells=p.cells + [end], cost=0.0)
+        full = find_conflicts(child)
+        derived = find_conflicts(child, parent=find_conflicts(parent), changed=changed)
+        assert derived == full
+
+        horizon = max(len(p) for p in child.values())
+        at = [[p.at(t) for p in child.values()] for t in range(horizon + 1)]
+        seen["wait"] += any(
+            a == b for p in child.values() for a, b in zip(p.cells, p.cells[1:])
+        )
+        seen["parked"] += any(
+            c.kind == "vertex" and c.time >= min(len(child[i]) for i in c.agents)
+            for c in full
+        )
+        seen["swap"] += any(c.kind == "edge" for c in full)
+        seen["following"] += any(
+            a != b and a2 == b and b2 != b
+            for t in range(horizon - 1)
+            for a, a2 in zip(at[t], at[t + 1])
+            for b, b2 in zip(at[t], at[t + 1])
+        )
+        seen["three"] += any(max(row.count(c) for c in row) >= 3 for row in at)
+        ends = [p.cells[-1] for i, p in child.items() if i != changed]
+        seen["ends-distinct" if len(set(ends)) == len(ends) else "ends-shared"] += 1
+    # every case the detector must get right turned up more than once
+    assert min(seen.values()) > 10, seen
+
+
 def test_vertex_split_bans_both_agents():
     c = Conflict(kind="vertex", agents=("a", "b"), location=Cell(2, 2), time=3)
     (ca,), (cb,) = _split_constraints(c)
@@ -479,6 +532,53 @@ def test_goal_tables_built_once_and_only_when_read(table_builds, monkeypatch):
     assert len(built) == len(set(built))
     assert set(built) == set(read)
     assert 0 < len(built) < len(agents)
+
+
+def test_each_constraint_set_is_searched_once_per_attempt(monkeypatch):
+    # sibling CT nodes re-split the same conflicts: without the attempt's
+    # path store this solve makes 1,006 searches for 57 distinct
+    # (machine, own constraints) pairs
+    searched = []
+
+    def recording(grid, agent, constraints, *args, **kwargs):
+        searched.append((grid, agent.id, frozenset(constraints)))
+        return constrained_astar(grid, agent, constraints, *args, **kwargs)
+
+    monkeypatch.setattr(cbs, "constrained_astar", recording)
+    scenario = archetype_scenario("archetype-1-open-20", 5, deadline_s=600)
+    result = solve(scenario)
+    # one attempt: nothing was removed, so nothing fell back
+    assert result.status == "optimal"
+    assert find_conflicts(result.schedule) == []
+    assert result.total_cost == pytest.approx(329)
+    assert all(grid is scenario.grid for grid, _, _ in searched)
+    # each search is handed its machine's own constraints and no others
+    assert all(c.agent == i for _, i, constraints in searched for c in constraints)
+    keys = [(i, constraints) for _, i, constraints in searched]
+    assert len(keys) == len(set(keys)) == 57
+
+
+def test_unknown_cells_do_not_count_toward_the_joint_space(monkeypatch):
+    # 80 cells, 20 of them passable: 20 ** 3 joint positions are within
+    # _COUPLED_SPACE, while 80 ** 3 (unknown cells counted free) are not
+    rows = ["1 " * 10] * 2 + ["? " * 10] * 6
+    grid = parse_map("map 10 8 10\nlayer ground 1\n" + "\n".join(rows) + "\n")
+    assert len(list(grid.passable_cells())) ** 3 <= cbs._COUPLED_SPACE < 80**3
+    agents = _agents(((0, 7), (9, 7)), ((9, 7), (0, 7)), ((0, 6), (9, 6)))
+    joint = []
+
+    def recording(grid, agents, *args):
+        joint.append([a.id for a in agents])
+        return _joint_search(grid, agents, *args)
+
+    monkeypatch.setattr(cbs, "_COUPLED_AFTER", 0)
+    monkeypatch.setattr(cbs, "_joint_search", recording)
+    result = solve(Scenario(grid=grid, agents=agents, deadline_s=600))
+    # the first expanded node hands the instance to the joint search
+    assert joint == [["a0", "a1", "a2"]]
+    assert result.status == "optimal"
+    assert find_conflicts(result.schedule) == []
+    assert result.total_cost == pytest.approx(joint_state_cost(grid, agents))
 
 
 def test_joint_search_reads_tables_from_its_store(table_builds):

@@ -52,6 +52,7 @@ def test_obstacle_and_unknown_cells_impassable():
     assert not grid.is_passable(Cell(2, 0))  # '?'
     assert grid.cell_cost(Cell(1, 1)) == IMPASSABLE
     assert grid.cell_cost(Cell(2, 0)) == IMPASSABLE
+    assert grid.passable_count() == 12 - 2
 
 
 def _direct_cost(grid, c):
