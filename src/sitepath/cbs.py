@@ -172,23 +172,32 @@ def find_conflicts(
 def _conflicts_of(solution: dict, agent_id: str) -> list:
     """The conflicts between `agent_id` and every other path, unsorted."""
     horizon = max(len(p) for p in solution.values())
-    cells = set(solution[agent_id].cells)
+
+    def padded(path):
+        # the cell at every t in 0..horizon, goal-stay included
+        return path.cells + [path.cells[-1]] * (horizon + 1 - len(path))
+
+    mine = solution[agent_id]
+    cells = set(mine.cells)
+    mine_padded = padded(mine)
     conflicts = []
-    for other in solution:
-        if other == agent_id or cells.isdisjoint(solution[other].cells):
+    for other, theirs in solution.items():
+        if other == agent_id or cells.isdisjoint(theirs.cells):
             continue
+        moving = max(len(mine), len(theirs))
         i, j = sorted((agent_id, other))
-        a, b = solution[i], solution[j]
-        moving = max(len(a), len(b))
+        a, b = mine_padded, padded(theirs)
+        if i != agent_id:
+            a, b = b, a
         for t in range(horizon):
-            ca, cb = a.at(t), b.at(t)
+            ca, cb = a[t], b[t]
             if ca == cb:
                 conflicts.append(
                     Conflict(kind="vertex", agents=(i, j), location=ca, time=t)
                 )
             elif t >= moving:
                 break  # both parked, on different cells
-            elif a.at(t + 1) == cb and b.at(t + 1) == ca:
+            elif a[t + 1] == cb and b[t + 1] == ca:
                 conflicts.append(
                     Conflict(kind="edge", agents=(i, j), location=(ca, cb), time=t)
                 )

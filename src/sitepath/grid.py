@@ -10,7 +10,8 @@ the bottom-left corner; the first row of a map file is the TOP row.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from copy import copy
+from dataclasses import dataclass, field
 from typing import Iterator, NamedTuple
 
 
@@ -73,6 +74,10 @@ class WeightedGridMap:
     _cheapest: float = field(init=False, repr=False, compare=False)
     # same indexing: the cell itself (the wait), then its passable moves
     _neighbors: tuple = field(init=False, repr=False, compare=False)
+    # same indexing and order: each move as an index offset (0 for the
+    # wait, then +1, -1, +width, -width where passable); cells with the
+    # same moves share one tuple, so a map holds at most 16 of them
+    _offsets: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.width <= 0 or self.height <= 0:
@@ -110,20 +115,35 @@ class WeightedGridMap:
                 continue
             terrain = sum(layer.layer_weight * layer.weight_at(c) for layer in self.layers)
             costs.append(terrain + self.danger_penalty(c))
-        neighbors = []
-        for c in cells:
-            moves = [c]
+        neighbors = [None] * len(cells)
+        offsets = [None] * len(cells)
+        self._list_moves(costs, range(len(cells)), cells.__getitem__, neighbors, offsets, {})
+        self._set_compiled(costs, neighbors, offsets)
+
+    def _list_moves(self, costs, indices, cell_at, neighbors, offsets, shared) -> None:
+        """Fill `neighbors[i]` and `offsets[i]` for every index in
+        `indices` from the cost table `costs`. `cell_at(j)` is the cell at
+        index j; `shared` maps each offset tuple made so far to itself."""
+        w, h = self.width, self.height
+        for i in indices:
+            y, x = divmod(i, w)
+            steps = [0]
             for d in ORTHOGONAL:
-                x, y = c.x + d.x, c.y + d.y
-                i = y * self.width + x
-                if 0 <= x < self.width and 0 <= y < self.height and costs[i] != IMPASSABLE:
-                    moves.append(cells[i])
-            neighbors.append(tuple(moves))
+                nx, ny = x + d.x, y + d.y
+                if 0 <= nx < w and 0 <= ny < h and costs[ny * w + nx] != IMPASSABLE:
+                    steps.append(d.y * w + d.x)
+            steps = tuple(steps)
+            steps = shared.setdefault(steps, steps)
+            offsets[i] = steps
+            neighbors[i] = tuple([cell_at(i + d) for d in steps])
+
+    def _set_compiled(self, costs, neighbors, offsets) -> None:
         object.__setattr__(self, "_costs", tuple(costs))
         object.__setattr__(
             self, "_cheapest", min((v for v in costs if v != IMPASSABLE), default=0.0)
         )
         object.__setattr__(self, "_neighbors", tuple(neighbors))
+        object.__setattr__(self, "_offsets", tuple(offsets))
 
     # -- queries ---------------------------------------------------------
 
@@ -162,8 +182,38 @@ class WeightedGridMap:
         return self._cheapest
 
     def with_blocked(self, cells) -> WeightedGridMap:
-        """This map with `cells` turned into obstacles."""
-        return replace(self, obstacles=self.obstacles | frozenset(cells))
+        """This map with `cells` turned into obstacles.
+
+        Equal to `replace(self, obstacles=self.obstacles | cells)`, compiled
+        fields included, but patched from this map: only the given cells
+        and their four neighbours get their moves listed again.
+        """
+        cells = frozenset(cells)
+        w, h = self.width, self.height
+        costs = list(self._costs)
+        touched = set()
+        for c in cells:
+            if not self.in_bounds(c):
+                raise ValueError(f"obstacle {c} out of bounds")
+            costs[c.y * w + c.x] = IMPASSABLE
+            # every cell lists its moves, blocked ones included, so all
+            # four neighbours may lose one
+            touched.add(c.y * w + c.x)
+            for d in ORTHOGONAL:
+                x, y = c.x + d.x, c.y + d.y
+                if 0 <= x < w and 0 <= y < h:
+                    touched.add(y * w + x)
+        neighbors = list(self._neighbors)
+        offsets = list(self._offsets)
+        # reuse this map's tuples, so the patched map shares them too
+        shared = dict(zip(self._offsets, self._offsets))
+        self._list_moves(
+            costs, touched, lambda j: neighbors[j][0], neighbors, offsets, shared
+        )
+        grid = copy(self)
+        object.__setattr__(grid, "obstacles", self.obstacles | cells)
+        grid._set_compiled(costs, neighbors, offsets)
+        return grid
 
     def neighbors(self, c: Cell) -> tuple:
         """Wait plus the passable orthogonal moves (branching factor <= 5)."""

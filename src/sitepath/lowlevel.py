@@ -8,6 +8,14 @@ time-expanded graph (cell, timestep) with wait moves, honours vertex and
 swap constraints handed down by the high level, and scales step costs by
 the agent's soft priority.
 
+`constrained_astar` walks the map's compiled tables, not `Cell`
+objects. A state (cell, t) is the integer `t * N + i`, where `i` is the
+cell's flat index `y * width + x` on a map of N cells. A step adds N
+plus one of the cell's move offsets (`grid._offsets`: 0 for the wait,
+then +1, -1, +width, -width where passable, in `grid.neighbors` order),
+and its price is read from `grid._costs`. Vertex and move bans become
+sets of such integers, and cells are built only for the path returned.
+
 `constrained_astar` takes its heuristic from exact cost-to-goal tables.
 Where vertex bans run through to the horizon (the target split bans a
 machine from a cell from the conflict time on), the cells they cover are
@@ -31,6 +39,7 @@ import heapq
 import itertools
 import math
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 from .grid import Cell, WeightedGridMap
 
@@ -72,8 +81,7 @@ class TimedPath:
         return self.cells[t] if t < len(self.cells) else self.cells[-1]
 
 
-@dataclass(frozen=True)
-class Constraint:
+class Constraint(NamedTuple):
     """Forbids `agent` from being at `vertex` at `time`.
 
     When `from_cell` is set the constraint only bans the single move
@@ -343,6 +351,12 @@ def constrained_astar(
     at the first goal arrival with no vertex constraint at any later
     timestep, matching goal-stay occupancy.
 
+    A state is one integer, `t * N + i` for the cell at flat index `i`
+    on a map of N cells, and a step adds N plus one of the map's move
+    offsets (`grid._offsets`). A vertex ban is kept as the state it
+    forbids, a move ban as `state * N + i` for the index `i` it leaves;
+    a ban on a cell outside the map forbids no state and is dropped.
+
     The heuristic is `h_map`, the goal's `goal_distances` table, until
     `t_static`, the latest start among the vertex bans that run through
     to the horizon. From `t_static` on, the cells those bans cover are
@@ -356,27 +370,39 @@ def constrained_astar(
         raise Unreachable(f"agent {agent.id}: start or goal blocked")
     if horizon is None:
         horizon = default_horizon(grid)
+    width, height = grid.width, grid.height
+    n = width * height
+    # `moves[i][0]` is the cell at index i (its wait move)
+    costs, offsets, moves = grid._costs, grid._offsets, grid._neighbors
+    goal = agent.goal.y * width + agent.goal.x
+    start = agent.start.y * width + agent.start.x
 
-    vertex_banned: set[tuple[Cell, int]] = set()
-    move_banned: set[tuple[Cell, Cell, int]] = set()
+    vertex_banned: set[int] = set()
+    move_banned: set[int] = set()
     banned_at_horizon = []
     last_goal_ban = -1
     for con in constraints:
         if con.agent != agent.id:
             continue
+        x, y = con.vertex
+        if not (0 <= x < width and 0 <= y < height):
+            continue  # no state is there to ban
+        i = y * width + x
         if con.length_only:
-            if con.vertex == agent.goal:
+            if i == goal:
                 last_goal_ban = max(last_goal_ban, con.time)
         elif con.from_cell is None:
-            vertex_banned.add((con.vertex, con.time))
+            vertex_banned.add(con.time * n + i)
             if con.time == horizon:
-                banned_at_horizon.append(con.vertex)
-            if con.vertex == agent.goal:
+                banned_at_horizon.append(i)
+            if i == goal:
                 last_goal_ban = max(last_goal_ban, con.time)
         else:
-            move_banned.add((con.from_cell, con.vertex, con.time))
+            fx, fy = con.from_cell
+            if 0 <= fx < width and 0 <= fy < height:
+                move_banned.add((con.time * n + i) * n + fy * width + fx)
 
-    if (agent.start, 0) in vertex_banned:
+    if start in vertex_banned:
         raise Unreachable(f"agent {agent.id}: start is constrained at t=0")
 
     p = agent.priority
@@ -388,30 +414,28 @@ def constrained_astar(
     t_static = math.inf
     if banned_at_horizon:
         t_static = 0
-        for c in banned_at_horizon:
+        for i in banned_at_horizon:
             t = horizon
-            while (c, t - 1) in vertex_banned:
+            while (t - 1) * n + i in vertex_banned:
                 t -= 1
             t_static = max(t_static, t)
-        walls = frozenset(banned_at_horizon)
+        walls = frozenset(moves[i][0] for i in banned_at_horizon)
         if blocked_tables is None:
             static_h = BlockedGoalTable(grid, agent.goal, walls)
         else:
             static_h = blocked_tables(agent.goal, walls)
 
-    def h_at(c: Cell, t: int) -> float:
-        if t >= t_static:
-            return p * static_h.distance(c, limits)
-        return p * h_map.get(c, math.inf)
-
+    # the heuristic at time t reads `static_h` once t >= t_static, else
+    # `h_map`; inlined below, as it runs for every state pushed
+    inf = math.inf
     tie = itertools.count()
-    start_state = (agent.start, 0)
-    g_best = {start_state: 0.0}
-    parent: dict = {start_state: None}
-    h0 = h_at(agent.start, 0)
-    if math.isinf(h0):
+    g_best = {start: 0.0}
+    parent: dict = {start: None}
+    c = agent.start
+    h0 = p * (static_h.distance(c, limits) if t_static <= 0 else h_map.get(c, inf))
+    if h0 == inf:
         raise Unreachable(f"agent {agent.id}: goal not reachable")
-    open_heap = [(h0, h0, next(tie), start_state)]
+    open_heap = [(h0, h0, next(tie), start)]
     closed: set = set()
 
     while open_heap:
@@ -421,28 +445,31 @@ def constrained_astar(
         closed.add(state)
         if limits is not None:
             limits.tick()
-        cell, t = state
-        if cell == agent.goal and t > last_goal_ban:
+        t, i = divmod(state, n)
+        if i == goal and t > last_goal_ban:
             cells = []
             s = state
             while s is not None:
-                cells.append(s[0])
+                cells.append(moves[s % n][0])
                 s = parent[s]
             cells.reverse()
             return TimedPath(cells=cells, cost=g_best[state])
         if t >= horizon:
             continue
         g_u = g_best[state]
-        for nxt in grid.neighbors(cell):
-            if (nxt, t + 1) in vertex_banned:
+        base = state + n
+        static = t + 1 >= t_static
+        for d in offsets[i]:
+            ns = base + d
+            if ns in vertex_banned:
                 continue
-            if (cell, nxt, t + 1) in move_banned:
+            if move_banned and ns * n + i in move_banned:
                 continue
-            ns = (nxt, t + 1)
-            g_v = g_u + p * grid.cell_cost(nxt)
-            if g_v < g_best.get(ns, math.inf):
-                h_v = h_at(nxt, t + 1)
-                if math.isinf(h_v):
+            g_v = g_u + p * costs[i + d]
+            if g_v < g_best.get(ns, inf):
+                c = moves[i + d][0]
+                h_v = p * (static_h.distance(c, limits) if static else h_map.get(c, inf))
+                if h_v == inf:
                     continue
                 g_best[ns] = g_v
                 parent[ns] = state

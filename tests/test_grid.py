@@ -1,5 +1,6 @@
 """Map model: parsing, costs, danger penalties, neighborhood."""
 
+import dataclasses
 import math
 import random
 
@@ -144,6 +145,84 @@ def test_neighbors_exclude_impassable_and_include_wait():
                 assert c not in blocked.neighbors(n)
             for n in blocked.cells():
                 assert blocked.neighbors(n) == tuple(_moves(blocked, n))
+
+
+def _random_site(rng):
+    """A random map text with '#' and '?' cells, parsed."""
+    w, h = rng.randint(1, 9), rng.randint(1, 9)
+    lines = [f"map {w} {h} 10"]
+    for name in ("roughness", "slope"):
+        lines.append(f"layer {name} {rng.choice((0.5, 1, 2))}")
+        for _ in range(h):
+            lines.append(
+                " ".join(rng.choice(("1", "3", "7", "#", "?")) for _ in range(w))
+            )
+    if rng.random() < 0.5:
+        lines.append(f"danger {rng.randrange(w)} {rng.randrange(h)} 5")
+    return parse_map("\n".join(lines) + "\n")
+
+
+def _cells_to_block(grid, rng):
+    """A random cell set: corners, edge cells, adjacent pairs, cells that
+    are already blocked, or nothing."""
+    w, h = grid.width, grid.height
+    cells = list(grid.cells())
+    picks = set()
+    kind = rng.randrange(5)
+    if kind == 0:
+        return picks
+    if kind == 1:
+        picks.update(Cell(x, y) for x in (0, w - 1) for y in (0, h - 1))
+    if kind == 2:
+        picks.update(c for c in cells if c.x in (0, w - 1) or c.y in (0, h - 1))
+    c = rng.choice(cells)
+    picks.add(c)
+    picks.update(n for n in (Cell(c.x + 1, c.y), Cell(c.x, c.y - 1)) if grid.in_bounds(n))
+    if kind == 3:
+        picks.update(c for c in cells if not grid.is_passable(c))
+    picks.update(rng.sample(cells, rng.randint(0, len(cells))))
+    return picks
+
+
+def test_with_blocked_equals_a_full_compile():
+    rng = random.Random(41)
+    compiled = [f.name for f in dataclasses.fields(WeightedGridMap) if not f.init]
+    assert "_offsets" in compiled and "_neighbors" in compiled
+    for _ in range(200):
+        grid = _random_site(rng)
+        before = {name: getattr(grid, name) for name in compiled}
+        obstacles = grid.obstacles
+        cells = _cells_to_block(grid, rng)
+        patched = grid.with_blocked(cells)
+        full = dataclasses.replace(grid, obstacles=grid.obstacles | cells)
+        assert patched == full
+        for name in compiled:
+            assert getattr(patched, name) == getattr(full, name), name
+        # the original map is left as it was
+        assert grid.obstacles == obstacles
+        for name in compiled:
+            assert getattr(grid, name) == before[name], name
+        w, h = grid.width, grid.height
+        for outside in (Cell(-1, 0), Cell(w, 0), Cell(0, -1), Cell(0, h)):
+            with pytest.raises(ValueError):
+                grid.with_blocked([Cell(0, 0), outside])
+
+
+def test_move_offsets_match_the_neighbour_table():
+    rng = random.Random(43)
+    grids = [parse_map(SAMPLE), open_field(3), open_field(0, 64, 64)]
+    grids += [_random_site(rng) for _ in range(60)]
+    for grid in grids:
+        once = grid.with_blocked(_cells_to_block(grid, rng))
+        twice = once.with_blocked(_cells_to_block(once, rng))
+        for g in (grid, once, twice):
+            for c in g.cells():
+                i = c.y * g.width + c.x
+                assert [i + d for d in g._offsets[i]] == [
+                    n.y * g.width + n.x for n in g.neighbors(c)
+                ]
+            # cells with the same moves share one tuple
+            assert len({id(t) for t in g._offsets}) <= 16
 
 
 def test_round_trip_identity():

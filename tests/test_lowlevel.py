@@ -415,6 +415,30 @@ def test_constrained_optimal_versus_enumeration():
         done += 1
 
 
+def test_constraints_with_equal_fields_are_one_key():
+    a = Constraint(agent="m", vertex=Cell(2, 1), time=3)
+    b = Constraint("m", Cell(2, 1), 3, None, False)
+    assert a == b and hash(a) == hash(b)
+    assert a != Constraint(agent="m", vertex=Cell(2, 1), time=3, from_cell=Cell(1, 1))
+    assert a != Constraint(agent="m", vertex=Cell(2, 1), time=3, length_only=True)
+    rng = random.Random(79)
+    fields = [
+        dict(
+            agent=rng.choice("mx"),
+            vertex=Cell(rng.randrange(4), rng.randrange(4)),
+            time=rng.randrange(6),
+            from_cell=rng.choice((None, Cell(0, 0))),
+            length_only=rng.random() < 0.2,
+        )
+        for _ in range(30)
+    ]
+    forward = frozenset(Constraint(**f) for f in fields)
+    backward = frozenset(Constraint(**f) for f in reversed(fields))
+    assert forward == backward and hash(forward) == hash(backward)
+    paths = {("m", forward): "stored"}
+    assert paths[("m", backward)] == "stored"
+
+
 def test_timed_path_goal_stay():
     p = TimedPath(cells=[Cell(0, 0), Cell(1, 0)], cost=1.0)
     assert p.at(0) == Cell(0, 0)
