@@ -17,7 +17,7 @@ agent's own constraints as a frozenset, so a child extends one entry.
 Within an attempt, constrained A* runs once per (agent, constraint set),
 however many sibling nodes re-split the same conflict. A child's
 conflicts are its parent's with the replanned agent's conflicts
-detected afresh.
+detected afresh, by the same pair check that a full scan runs.
 """
 
 from __future__ import annotations
@@ -92,18 +92,29 @@ class Scenario:
         for a in self.agents:
             if not self.grid.is_passable(a.start) or not self.grid.is_passable(a.goal):
                 raise ValueError(f"agent {a.id}: start or goal not passable")
+        if not self.deadline_s >= 0:  # NaN included
+            raise ValueError(
+                f"deadline must be a nonnegative number of seconds, got {self.deadline_s}"
+            )
+        if self.conflict_threshold < 0:
+            raise ValueError(
+                f"conflict threshold must be nonnegative, got {self.conflict_threshold}"
+            )
 
 
 @dataclass
 class PlanResult:
     schedule: dict  # agent id -> TimedPath (removed agents wait at start)
-    total_cost: float
     removed_agents: list
     conflict_log: list
     elapsed_initial_s: float
     elapsed_update_s: float
     status: str  # 'optimal' | 'feasible_after_removal' | 'stop_all'
     midway_goals: dict = field(default_factory=dict)
+
+    @property
+    def total_cost(self) -> float:
+        return sic(self.schedule)
 
 
 def sic(solution: dict) -> float:
@@ -117,61 +128,39 @@ def find_conflicts(
     """Every vertex and swap conflict in time order, goal-stay included.
 
     Following moves (entering a cell the instant its occupant leaves) and
-    rotation cycles are allowed and not reported.
+    rotation cycles are allowed and not reported. The paths are checked
+    pair by pair with `_conflicts_of`; the order is by `(time, agents)`,
+    and a pair cannot have a vertex and a swap conflict at the same time.
 
     `parent` may give the conflicts of a solution that differs from this
     one only in the path of agent `changed`. Those that do not name
     `changed` still hold, so only that agent is checked against the
-    rest. The list is the one a full scan gives, order included: the
-    order is by `(time, agents)`, and a pair cannot have a vertex and a
-    swap conflict at the same time.
+    rest. The list is the one a full scan gives, order included.
     """
-    if parent is not None:
-        # the others' conflicts ignore the horizon unless two of them
-        # are parked on one cell (never with distinct goals)
-        ends = {p.cells[-1] for i, p in solution.items() if i != changed}
-        if len(ends) == len(solution) - 1:
-            conflicts = [c for c in parent if changed not in c.agents]
-            conflicts += _conflicts_of(solution, changed)
-            conflicts.sort(key=lambda c: (c.time, c.agents))
-            return conflicts
     ids = sorted(solution)
     horizon = max((len(solution[i]) for i in ids), default=0)
-    conflicts = []
-    pos = {i: solution[i].at(0) for i in ids}
-    for t in range(horizon):
-        occupancy: dict = {}
-        for i in ids:
-            occupancy.setdefault(pos[i], []).append(i)
-        for cell, members in occupancy.items():
-            for i, j in itertools.combinations(members, 2):
-                conflicts.append(
-                    Conflict(kind="vertex", agents=(i, j), location=cell, time=t)
-                )
-        if t + 1 >= horizon:
-            break
-        nxt = {i: solution[i].at(t + 1) for i in ids}
-        moves: dict = {}
-        for i in ids:
-            if pos[i] != nxt[i]:
-                moves.setdefault((pos[i], nxt[i]), []).append(i)
-        for (a, b), movers in moves.items():
-            for j in moves.get((b, a), ()):
-                for i in movers:
-                    if i < j:
-                        conflicts.append(
-                            Conflict(
-                                kind="edge", agents=(i, j), location=(a, b), time=t
-                            )
-                        )
-        pos = nxt
+    others = [i for i in ids if i != changed]
+    ends = {solution[i].cells[-1] for i in others}
+    # the others' conflicts ignore the horizon unless two of them are
+    # parked on one cell (never with distinct goals)
+    if parent is not None and len(ends) == len(others):
+        conflicts = [c for c in parent if changed not in c.agents]
+        conflicts += _conflicts_of(solution, changed, others, horizon)
+    else:
+        conflicts = []
+        for x, i in enumerate(ids):
+            conflicts += _conflicts_of(solution, i, ids[x + 1 :], horizon)
     conflicts.sort(key=lambda c: (c.time, c.agents))
     return conflicts
 
 
-def _conflicts_of(solution: dict, agent_id: str) -> list:
-    """The conflicts between `agent_id` and every other path, unsorted."""
-    horizon = max(len(p) for p in solution.values())
+def _conflicts_of(solution: dict, agent_id: str, others: list, horizon: int) -> list:
+    """The conflicts between `agent_id` and each of `others`, unsorted.
+
+    Every path waits at its last cell until `horizon`, which must be at
+    least the length of the longest of them; two paths parked on one
+    cell conflict at every step up to it.
+    """
 
     def padded(path):
         # the cell at every t in 0..horizon, goal-stay included
@@ -181,8 +170,9 @@ def _conflicts_of(solution: dict, agent_id: str) -> list:
     cells = set(mine.cells)
     mine_padded = padded(mine)
     conflicts = []
-    for other, theirs in solution.items():
-        if other == agent_id or cells.isdisjoint(theirs.cells):
+    for other in others:
+        theirs = solution[other]
+        if cells.isdisjoint(theirs.cells):
             continue
         moving = max(len(mine), len(theirs))
         i, j = sorted((agent_id, other))
@@ -615,12 +605,11 @@ def apply_fallback(
 
     if strategy == "low-cost":
         order = sorted(agents, key=lambda a: (solution[a.id].cost, a.id))
+        horizon = max((len(solution[a.id]) for a in agents), default=0)
         admitted: list = []
         deferred = []
         for a in order:
-            trial = {i: solution[i] for i in admitted}
-            trial[a.id] = solution[a.id]
-            if find_conflicts(trial):
+            if _conflicts_of(solution, a.id, admitted, horizon):
                 deferred.append(a.id)
             else:
                 admitted.append(a.id)
@@ -656,12 +645,11 @@ def solve(scenario: Scenario) -> PlanResult:
                 schedule[a.id] = _wait_at_start(a)
         return PlanResult(
             schedule=schedule,
-            total_cost=sic(schedule),
+            status=status,
             removed_agents=list(removed),
             conflict_log=conflict_log,
             elapsed_initial_s=elapsed_initial,
             elapsed_update_s=time.monotonic() - t0 - elapsed_initial,
-            status=status,
         )
 
     while time.monotonic() < deadline:

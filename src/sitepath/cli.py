@@ -15,7 +15,7 @@ from .analysis import (
     suggest_layout,
     suggest_removal,
 )
-from .cbs import STRATEGIES, PlanResult, Scenario, UnsolvableError, sic, solve
+from .cbs import STRATEGIES, PlanResult, Scenario, UnsolvableError, solve
 from .grid import MapFormatError
 from .mapgen import ARCHETYPES, archetype_scenario
 from .replan import IMMOBILE, ExecutionState, inject_delay, replan
@@ -35,21 +35,22 @@ EXIT_STOP_ALL = 2
 
 
 def _apply_overrides(scenario: Scenario, args) -> Scenario:
-    # refused here, not by argparse: its exit code 2 would read as stop-all
-    if args.deadline_s is not None and not args.deadline_s >= 0:
-        raise ScenarioError(f"--deadline-s must be nonnegative, got {args.deadline_s}")
-    if args.threshold is not None and args.threshold < 0:
-        raise ScenarioError(f"--threshold must be nonnegative, got {args.threshold}")
-    fields = {}
-    if args.seed is not None:
-        fields["seed"] = args.seed
-    if args.deadline_s is not None:
-        fields["deadline_s"] = args.deadline_s
-    if args.threshold is not None:
-        fields["conflict_threshold"] = args.threshold
-    if args.strategy is not None:
-        fields["strategy"] = args.strategy
-    return replace(scenario, **fields) if fields else scenario
+    overrides = [
+        ("--seed", "seed", args.seed),
+        ("--deadline-s", "deadline_s", args.deadline_s),
+        ("--threshold", "conflict_threshold", args.threshold),
+        ("--strategy", "strategy", args.strategy),
+    ]
+    for flag, name, value in overrides:
+        if value is None:
+            continue
+        # `Scenario` refuses a bad value; refused as input, not by
+        # argparse, whose exit code 2 would read as stop-all
+        try:
+            scenario = replace(scenario, **{name: value})
+        except ValueError as exc:
+            raise ScenarioError(f"{flag}: {exc}") from exc
+    return scenario
 
 
 def _load(path, args) -> Scenario:
@@ -242,7 +243,6 @@ def cmd_replan(args) -> int:
         return EXIT_INPUT_ERROR
     planned = PlanResult(
         schedule=schedule,
-        total_cost=sic(schedule),
         removed_agents=[],
         conflict_log=[],
         elapsed_initial_s=0.0,

@@ -13,7 +13,7 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass, field, replace
 
-from .cbs import PlanResult, Scenario, UnsolvableError, sic, solve
+from .cbs import PlanResult, Scenario, UnsolvableError, solve
 from .grid import Cell, WeightedGridMap
 from .lowlevel import Agent, TimedPath, Unreachable, start_distances
 
@@ -128,7 +128,6 @@ def _stop_all(state: ExecutionState, elapsed: float) -> PlanResult:
             a.id: TimedPath(cells=[state.positions[a.id]], cost=0.0)
             for a in state.scenario.agents
         },
-        total_cost=0.0,
         removed_agents=[],
         conflict_log=[],
         elapsed_initial_s=0.0,
@@ -170,8 +169,15 @@ def replan(state: ExecutionState, deadline_s: float = 5.0) -> PlanResult:
 
     def run(agents, budget):
         moved = [replace(a, start=state.positions[a.id]) for a in agents]
+        # a spent budget (an overrun, or the clock's tick past a zero
+        # deadline) is an empty one: solve then stops the fleet at once
         return solve(
-            replace(state.scenario, grid=work_grid, agents=moved, deadline_s=budget)
+            replace(
+                state.scenario,
+                grid=work_grid,
+                agents=moved,
+                deadline_s=max(budget, 0.0),
+            )
         )
 
     try:
@@ -214,5 +220,4 @@ def replan(state: ExecutionState, deadline_s: float = 5.0) -> PlanResult:
         result.schedule[agent_id] = TimedPath(
             cells=[state.positions[agent_id]], cost=0.0
         )
-    result.total_cost = sic(result.schedule)
     return result

@@ -75,17 +75,11 @@ def load_scenario(path) -> Scenario:
         except (KeyError, TypeError, ValueError) as exc:
             raise ScenarioError(f"{path}: bad agent entry {entry!r}: {exc}") from exc
     try:
-        deadline_s = float(doc.get("deadline_s", 5.0))
-        if not deadline_s >= 0:
-            raise ValueError(f"deadline_s must be nonnegative, got {deadline_s}")
-        threshold = int(doc.get("threshold", 64))
-        if threshold < 0:
-            raise ValueError(f"threshold must be nonnegative, got {threshold}")
         return Scenario(
             grid=grid,
             agents=agents,
-            deadline_s=deadline_s,
-            conflict_threshold=threshold,
+            deadline_s=float(doc.get("deadline_s", 5.0)),
+            conflict_threshold=int(doc.get("threshold", 64)),
             strategy=str(doc.get("strategy", "remove")),
             seed=int(doc.get("seed", 0)),
             name=str(doc.get("name", path.stem)),

@@ -22,7 +22,6 @@ from sitepath.mapgen import bottleneck_scenario
 def _result(conflicts):
     return PlanResult(
         schedule={},
-        total_cost=0.0,
         removed_agents=[],
         conflict_log=conflicts,
         elapsed_initial_s=0.0,

@@ -2,6 +2,7 @@
 
 import random
 import time
+from dataclasses import replace
 
 import pytest
 
@@ -56,7 +57,8 @@ def _agents(*pairs, priority=1.0):
 
 
 def _naive_conflicts(solution):
-    """Quadratic re-check of the conflict detector."""
+    """Quadratic re-check of the conflict detector: (kind, i, j, location,
+    t) in time order, then by pair, the edge location in agent i's order."""
     ids = sorted(solution)
     horizon = max(len(solution[i]) for i in ids)
     found = []
@@ -65,14 +67,14 @@ def _naive_conflicts(solution):
             for j in ids[x + 1 :]:
                 pi, pj = solution[i], solution[j]
                 if pi.at(t) == pj.at(t):
-                    found.append(("vertex", i, j, t))
+                    found.append(("vertex", i, j, pi.at(t), t))
                 if (
                     t + 1 < horizon
                     and pi.at(t) != pi.at(t + 1)
                     and pi.at(t + 1) == pj.at(t)
                     and pj.at(t + 1) == pi.at(t)
                 ):
-                    found.append(("edge", i, j, t))
+                    found.append(("edge", i, j, (pi.at(t), pi.at(t + 1)), t))
     return found
 
 
@@ -115,7 +117,8 @@ def test_goal_stay_creates_vertex_conflict():
 
 def test_find_conflicts_matches_naive_detector():
     rng = random.Random(3)
-    for _ in range(60):
+    repeated = 0
+    for _ in range(200):
         grid = random_map(rng, max_side=5, obstacle_p=0.1)
         free = list(grid.passable_cells())
         if len(free) < 4:
@@ -126,9 +129,19 @@ def test_find_conflicts_matches_naive_detector():
             for _ in range(rng.randint(0, 6)):
                 cells.append(rng.choice(grid.neighbors(cells[-1])))
             sol[f"w{i}"] = TimedPath(cells=cells, cost=0.0)
-        ours = {(c.kind, *c.agents, c.time) for c in find_conflicts(sol)}
-        naive = set(_naive_conflicts(sol))
+        if rng.random() < 0.5:
+            # two walks park on one cell: a vertex conflict at every step
+            # from the later arrival up to the longest walk's end
+            first, second = rng.sample(sorted(sol), 2)
+            cells = sol[second].cells + [sol[first].cells[-1]]
+            sol[second] = TimedPath(cells=cells, cost=0.0)
+        ours = [(c.kind, *c.agents, c.location, c.time) for c in find_conflicts(sol)]
+        naive = _naive_conflicts(sol)
         assert ours == naive
+        vertices = [c[:4] for c in naive if c[0] == "vertex"]
+        repeated += len(set(vertices)) < len(vertices)
+    # location, order and multiplicity all count, parked pairs included
+    assert repeated > 10, repeated
 
 
 def _random_walk(rng, grid, free):
@@ -432,6 +445,17 @@ def test_fallback_low_cost_admits_cheap_conflict_free_set():
     out = apply_fallback(agents, sol, [], "low-cost")
     assert out == []  # nothing conflicts, nobody is deferred
 
+    # a head-on pair and a cheap bystander: the cheaper of the pair is
+    # admitted first, so the dearer one is deferred
+    agents = _agents(((0, 0), (2, 0)), ((2, 0), (0, 0)), ((4, 4), (3, 4)))
+    sol = {
+        "a0": TimedPath(cells=[Cell(0, 0), Cell(1, 0), Cell(2, 0)], cost=2.0),
+        "a1": TimedPath(cells=[Cell(2, 0), Cell(1, 0), Cell(0, 0)], cost=5.0),
+        "a2": TimedPath(cells=[Cell(4, 4), Cell(3, 4)], cost=1.0),
+    }
+    assert find_conflicts(sol)
+    assert apply_fallback(agents, sol, find_conflicts(sol), "low-cost") == ["a1"]
+
 
 def test_fallback_subregion_defers_somebody_on_overlap():
     agents = _agents(((0, 0), (4, 0)), ((4, 0), (0, 0)), ((0, 4), (4, 4)))
@@ -474,6 +498,19 @@ def test_scenario_rejects_duplicate_starts():
     ]
     with pytest.raises(ValueError, match="ids"):
         Scenario(grid=grid, agents=twins)
+
+
+def test_scenario_rejects_a_bad_deadline_or_threshold():
+    grid = _uniform_grid()
+    agents = _agents(((0, 0), (1, 1)))
+    for bad in (float("nan"), -1.0):
+        with pytest.raises(ValueError, match="deadline must be"):
+            Scenario(grid=grid, agents=agents, deadline_s=bad)
+    with pytest.raises(ValueError, match="conflict threshold"):
+        Scenario(grid=grid, agents=agents, conflict_threshold=-1)
+    # a derived scenario is checked too, so `solve` never sees a NaN budget
+    with pytest.raises(ValueError, match="deadline must be"):
+        replace(archetype_scenario("archetype-1-open-20", 0), deadline_s=float("nan"))
 
 
 def test_scenario_rejects_unknown_strategy():

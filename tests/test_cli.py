@@ -219,10 +219,18 @@ def test_replan_refuses_bad_input(mining_plan, tmp_path, extra):
     assert not (tmp_path / "result.json").exists()
 
 
-def test_solve_negative_deadline_is_input_error(corpus, tmp_path):
+def test_replan_zero_deadline_exits_stop_all(mining_plan, tmp_path):
+    extra = ["--now", "3", "--deviation", "agent1:lag=2", "--deadline-s", "0"]
+    code = main(["replan", *mining_plan, "--out", str(tmp_path)] + extra)
+    assert code == EXIT_STOP_ALL
+    assert json.loads((tmp_path / "diff.json").read_text())["stop_all"] is True
+
+
+def test_solve_negative_deadline_is_input_error(corpus, tmp_path, capsys):
     scenario_path = corpus / "archetype-5-mining.yaml"
     code = main(["solve", str(scenario_path), "--out", str(tmp_path), "--deadline-s", "-1"])
     assert code == EXIT_INPUT_ERROR
+    assert "error: --deadline-s: deadline must be" in capsys.readouterr().err
     assert not (tmp_path / "result.json").exists()
 
 

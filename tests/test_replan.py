@@ -107,6 +107,39 @@ def test_immobile_in_sole_corridor_forces_stop_all():
     assert result.total_cost == 0.0
 
 
+def test_zero_deadline_stops_the_fleet():
+    sc = _open_scenario(((0, 0), (5, 0)), ((0, 5), (5, 5)))
+    base = solve(sc)
+    lagged = inject_delay(ExecutionState(scenario=sc, planned=base, now=3), "m0", 1)
+    result = replan(lagged, deadline_s=0)
+    assert result.status == "stop_all"
+    for agent in sc.agents:
+        assert result.schedule[agent.id].cells == [lagged.positions[agent.id]]
+
+
+def test_an_overrun_first_solve_does_not_raise(monkeypatch):
+    # the first solve finishes, but past the deadline: the budget is
+    # breached and spent, so the solve without the deviant gets none
+    sc = _open_scenario(((0, 0), (5, 0)), ((0, 5), (5, 5)))
+    base = solve(sc)
+    lagged = inject_delay(ExecutionState(scenario=sc, planned=base, now=3), "m0", 1)
+    budgets = []
+
+    def slow_solve(scenario):
+        budgets.append(scenario.deadline_s)
+        result = solve(scenario)
+        time.sleep(0.06)
+        return result
+
+    monkeypatch.setattr("sitepath.replan.solve", slow_solve)
+    result = replan(lagged, deadline_s=0.05)
+    assert len(budgets) == 2
+    assert 0 < budgets[0] <= 0.05 and budgets[1] == 0.0
+    # the fleet's solve stands: the one without the deviant was not fast
+    assert result.status == "optimal"
+    assert find_conflicts(result.schedule) == []
+
+
 def test_replan_without_deviation_is_a_plain_resolve():
     sc = _open_scenario(((0, 0), (5, 0)), ((0, 5), (5, 5)))
     base = solve(sc)
@@ -200,13 +233,11 @@ def _random_midway_cases():
         }
         scenario = Scenario(grid=grid, agents=agents)
         positions = {a.id: a.start for a in agents}
-        planned = PlanResult(schedule, 0.0, [], [], 0.0, 0.0, "optimal")
+        planned = PlanResult(schedule, [], [], 0.0, 0.0, "optimal")
         yield grid, ExecutionState(
             scenario=scenario, planned=planned, positions=positions
         )
-        without_m2 = PlanResult(
-            {"m1": schedule["m1"]}, 0.0, [], [], 0.0, 0.0, "optimal"
-        )
+        without_m2 = PlanResult({"m1": schedule["m1"]}, [], [], 0.0, 0.0, "optimal")
         yield grid.with_blocked([agents[2].start]), ExecutionState(
             scenario=scenario,
             planned=without_m2,
