@@ -42,6 +42,7 @@ from .lowlevel import (
     constrained_astar,
     default_horizon,
     goal_distances,
+    path_cost,
 )
 
 STRATEGIES = ("remove", "same-dir", "subregion", "low-cost")
@@ -363,7 +364,7 @@ def _joint_search(
             if finished[i] and cells[-1] == agent.goal:
                 break
             cells.append(positions[i])
-        cost = agent.priority * sum(grid.cell_cost(c) for c in cells[1:])
+        cost = path_cost(grid, cells, agent.priority)
         schedule[agent.id] = TimedPath(cells=cells, cost=cost)
     return schedule
 

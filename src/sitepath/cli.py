@@ -53,10 +53,6 @@ def _apply_overrides(scenario: Scenario, args) -> Scenario:
     return scenario
 
 
-def _load(path, args) -> Scenario:
-    return _apply_overrides(load_scenario(path), args)
-
-
 def _check_repetitions(args) -> None:
     # collect_stats would raise mid-run; refuse before any solve, exit 1
     if args.repetitions < 1:
@@ -64,12 +60,8 @@ def _check_repetitions(args) -> None:
 
 
 def cmd_solve(args) -> int:
-    try:
-        scenario = _load(args.scenario, args)
-        result = solve(scenario)
-    except (ScenarioError, MapFormatError, UnsolvableError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT_ERROR
+    scenario = _apply_overrides(load_scenario(args.scenario), args)
+    result = solve(scenario)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     (out / "schedule.csv").write_text(schedule_to_csv(result.schedule))
@@ -87,18 +79,14 @@ def cmd_solve(args) -> int:
 def cmd_bench(args) -> int:
     corpus = Path(args.corpus)
     scenario_paths = sorted(corpus.glob("*.yaml"))
-    try:
-        _check_repetitions(args)
-        if not scenario_paths:
-            raise ScenarioError(f"no scenarios in {corpus}")
-    except ScenarioError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT_ERROR
+    _check_repetitions(args)
+    if not scenario_paths:
+        raise ScenarioError(f"no scenarios in {corpus}")
     rows = []
     any_ok = False
     for path in scenario_paths:
         try:
-            scenario = _load(path, args)
+            scenario = _apply_overrides(load_scenario(path), args)
             stats, results = collect_stats(scenario, args.repetitions)
         except (ScenarioError, MapFormatError, UnsolvableError) as exc:
             rows.append([path.stem, "", "", "", "", "", "", f"error: {exc}", ""])
@@ -150,22 +138,17 @@ def cmd_bench(args) -> int:
 def cmd_gen_maps(args) -> int:
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    seed = args.seed if args.seed is not None else 0
     for name in ARCHETYPES:
-        scenario = archetype_scenario(name, seed)
+        scenario = archetype_scenario(name, args.seed)
         save_scenario(scenario, out / f"{name}.yaml", out / f"{name}.map")
         print(f"wrote {name} ({len(scenario.agents)} agents)")
     return EXIT_OK
 
 
 def cmd_analyze(args) -> int:
-    try:
-        _check_repetitions(args)
-        scenario = _load(args.scenario, args)
-        stats, results = collect_stats(scenario, args.repetitions)
-    except (ScenarioError, MapFormatError, UnsolvableError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT_ERROR
+    _check_repetitions(args)
+    scenario = _apply_overrides(load_scenario(args.scenario), args)
+    stats, results = collect_stats(scenario, args.repetitions)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     for phase in ("initial", "update"):
@@ -232,15 +215,9 @@ def _parse_deviation(spec: str) -> tuple:
 
 
 def cmd_replan(args) -> int:
-    try:
-        scenario = _load(args.scenario, args)
-        schedule = csv_to_schedule(Path(args.schedule).read_text(), scenario)
-        deviations = [_parse_deviation(s) for s in args.deviation]
-        if args.now < 0:
-            raise ScenarioError(f"--now must be nonnegative, got {args.now}")
-    except (ScenarioError, MapFormatError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT_ERROR
+    scenario = _apply_overrides(load_scenario(args.scenario), args)
+    schedule = csv_to_schedule(Path(args.schedule).read_text(), scenario)
+    deviations = [_parse_deviation(s) for s in args.deviation]
     planned = PlanResult(
         schedule=schedule,
         removed_agents=[],
@@ -251,17 +228,8 @@ def cmd_replan(args) -> int:
     )
     state = ExecutionState(scenario=scenario, planned=planned, now=args.now)
     for agent_id, lag in deviations:
-        try:
-            state = inject_delay(state, agent_id, lag)
-        except KeyError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return EXIT_INPUT_ERROR
-    try:
-        result = replan(state, deadline_s=scenario.deadline_s)
-    except ValueError as exc:
-        # a lag can put a machine on the cell another one stands on
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT_ERROR
+        state = inject_delay(state, agent_id, lag)
+    result = replan(state, deadline_s=scenario.deadline_s)
 
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
@@ -339,7 +307,13 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    return args.func(args)
+    # the CLI's one error boundary: `ScenarioError` and `MapFormatError`
+    # are `ValueError`s, and `inject_delay` raises `KeyError`
+    try:
+        return args.func(args)
+    except (ValueError, KeyError, UnsolvableError, OSError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_INPUT_ERROR
 
 
 if __name__ == "__main__":

@@ -29,6 +29,8 @@ class ExecutionState:
     deviations: dict = field(default_factory=dict)  # id -> lag (int) or "immobile"
 
     def __post_init__(self):
+        if self.now < 0:
+            raise ValueError(f"now must be nonnegative, got {self.now}")
         if not self.positions:
             self.positions = {
                 a.id: self.planned.schedule[a.id].at(self.now)

@@ -246,3 +246,23 @@ def test_zero_repetitions_is_input_error(corpus, tmp_path, capsys, monkeypatch, 
     assert code == EXIT_INPUT_ERROR
     assert "error: --repetitions must be >= 1" in capsys.readouterr().err
     assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "command", ["solve", "analyze", "bench", "replan", "gen-maps"]
+)
+def test_unwritable_out_is_input_error(corpus, mining_plan, tmp_path, capsys, command):
+    blocker = tmp_path / "file"
+    blocker.write_text("")
+    out = str(blocker / "out")
+    mining = mining_plan[0]
+    argv = {
+        "solve": ["solve", mining],
+        "analyze": ["analyze", mining, "--repetitions", "1"],
+        "bench": ["bench", str(corpus), "--repetitions", "1"],
+        "replan": ["replan", *mining_plan],
+        "gen-maps": ["gen-maps"],
+    }[command]
+    assert main(argv + ["--out", out]) == EXIT_INPUT_ERROR
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error:"), err

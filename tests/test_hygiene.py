@@ -109,3 +109,16 @@ def test_no_state_outlives_a_call():
                     if (path.name, getattr(t, "id", None)) not in allowed
                 ]
     assert SOURCES and not found, found
+
+
+def test_cli_errors_meet_at_one_boundary():
+    # `main` turns an input error into exit 1; a command that grew its own
+    # `try` would be a second error path to keep in step with it
+    cli = next(path for path in SOURCES if path.name == "cli.py")
+    owners = {
+        node.name
+        for node in ast.walk(ast.parse(cli.read_text(), filename=str(cli)))
+        if isinstance(node, ast.FunctionDef)
+        and any(isinstance(n, ast.Try) for n in ast.walk(node))
+    }
+    assert owners == {"main", "_apply_overrides", "cmd_bench"}, owners

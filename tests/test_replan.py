@@ -46,6 +46,14 @@ def test_positions_default_to_plan():
     assert state.positions["m1"] == base.schedule["m1"].at(2)
 
 
+def test_negative_now_is_refused():
+    # `TimedPath.at(-1)` would read the last cell: every machine on its goal
+    sc = _open_scenario(((0, 0), (5, 0)))
+    base = solve(sc)
+    with pytest.raises(ValueError, match="now must be nonnegative"):
+        ExecutionState(scenario=sc, planned=base, now=-1)
+
+
 def test_inject_delay_moves_agent_back():
     sc = _open_scenario(((0, 0), (5, 0)), ((0, 5), (5, 5)))
     base = solve(sc)
