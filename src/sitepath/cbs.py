@@ -232,12 +232,14 @@ def _split_constraints(
 class _GoalTables(dict):
     """Goal cell -> `goal_distances` table on one grid, built on first read.
 
+    A table is an `array('d')` read by flat cell index `y * width + x`.
     `blocked(goal, cells)` gives the goal's `BlockedGoalTable` on the grid
-    without `cells`: the completion heuristic `constrained_astar` reads
-    once the bans of a target split have all started. Many CT nodes carry
-    the same split, so the table is kept by (goal, cells) and resumed,
-    never rebuilt. `solve` makes one store per attempt, so every table
-    lives only as long as the attempt and the grid it was built for.
+    without `cells`, given as flat indices: the completion heuristic
+    `constrained_astar` reads once the bans of a target split have all
+    started. Many CT nodes carry the same split, so the table is kept by
+    (goal, cells) and resumed, never rebuilt. `solve` makes one store per
+    attempt, so every table lives only as long as the attempt and the
+    grid it was built for.
     """
 
     def __init__(self, grid: WeightedGridMap):
@@ -285,13 +287,15 @@ def _joint_search(
     entered cell including waits.
     """
     n = len(agents)
+    width = grid.width
     h_maps = [goal_tables[a.goal] for a in agents]
 
     def h(positions, finished):
         total = 0.0
         for i in range(n):
             if not finished[i]:
-                total += agents[i].priority * h_maps[i][positions[i]]
+                c = positions[i]
+                total += agents[i].priority * h_maps[i][c.y * width + c.x]
         return total
 
     starts = tuple(a.start for a in agents)

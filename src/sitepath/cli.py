@@ -312,7 +312,9 @@ def main(argv=None) -> int:
     try:
         return args.func(args)
     except (ValueError, KeyError, UnsolvableError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        # a `KeyError` quotes its message in `str`, so print the message
+        message = exc.args[0] if isinstance(exc, KeyError) else exc
+        print(f"error: {message}", file=sys.stderr)
         return EXIT_INPUT_ERROR
 
 

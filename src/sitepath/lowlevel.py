@@ -8,25 +8,28 @@ time-expanded graph (cell, timestep) with wait moves, honours vertex and
 swap constraints handed down by the high level, and scales step costs by
 the agent's soft priority.
 
-`constrained_astar` walks the map's compiled tables, not `Cell`
-objects. A state (cell, t) is the integer `t * N + i`, where `i` is the
-cell's flat index `y * width + x` on a map of N cells. A step adds N
-plus one of the cell's move offsets (`grid._offsets`: 0 for the wait,
-then +1, -1, +width, -width where passable, in `grid.neighbors` order),
-and its price is read from `grid._costs`. Vertex and move bans become
-sets of such integers, and cells are built only for the path returned.
+`constrained_astar` and the goal-distance tables walk the map's
+compiled tables, not `Cell` objects. A cell is its flat index
+`y * width + x` on a map of N cells. Its moves are index offsets
+(`grid._offsets`: 0 for the wait, then +1, -1, +width, -width where
+passable, in `grid.neighbors` order), and its price is read from
+`grid._costs`. A goal-distance table is an `array('d')` of N entries
+read by index, with inf where the goal cannot be reached. In
+`constrained_astar` a state (cell, t) is the integer `t * N + i`, and a
+step adds N plus one offset. Vertex and move bans become sets of such
+integers, and cells are built only for the path returned.
 
 `constrained_astar` takes its heuristic from exact cost-to-goal tables.
 Where vertex bans run through to the horizon (the target split bans a
 machine from a cell from the conflict time on), the cells they cover are
 walls for the rest of the search once the latest of those bans has
 started. From then on the heuristic reads a table of the map with those
-cells removed (`BlockedGoalTable`, settled only as far as queries need),
-and a state that cannot reach the goal around them is pruned. This is
-the completion heuristic of the target reasoning in CBSH2-RTC (Li,
-Harabor, Stuckey & Koenig, AIJ 2021): when a banned cell is the only way
-through, the search ends once the states before the ban run out, instead
-of after the whole (cell, t) space up to the horizon.
+cells removed (`BlockedGoalTable`, keyed by index and settled only as far
+as queries need), and a state that cannot reach the goal around them is
+pruned. This is the completion heuristic of the target reasoning in
+CBSH2-RTC (Li, Harabor, Stuckey & Koenig, AIJ 2021): when a banned cell
+is the only way through, the search ends once the states before the ban
+run out, instead of after the whole (cell, t) space up to the horizon.
 
 Path cost convention: entering a cell costs its `cell_cost`; the start
 cell itself is free. A wait charges the current cell again, so idling on
@@ -38,6 +41,7 @@ from __future__ import annotations
 import heapq
 import itertools
 import math
+from array import array
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
@@ -211,26 +215,34 @@ def default_horizon(grid: WeightedGridMap) -> int:
     return 4 * (grid.width + grid.height)
 
 
-def goal_distances(grid: WeightedGridMap, goal: Cell) -> dict:
-    """True unconstrained cost-to-goal for every reachable cell.
+def goal_distances(grid: WeightedGridMap, goal: Cell) -> array:
+    """True unconstrained cost-to-goal for every cell, by flat index.
 
-    Backward Dijkstra charging the cell being left, matching the
-    forward convention of paying to enter a cell. Usable as an exact
+    Backward Dijkstra over the compiled map (`grid._costs`,
+    `grid._offsets`), charging the cell being left, matching the forward
+    convention of paying to enter a cell. Returns an `array('d')` of
+    `width * height` entries; the cell (x, y) reads `y * width + x`, and
+    a cell that cannot reach the goal reads inf. Usable as an exact
     (hence admissible and consistent) heuristic in the time-expanded
     search, where waiting can only add cost. The solver builds a table
     when a search first reads it, and keeps it for one attempt on one
     grid (`cbs._GoalTables`).
     """
-    dist = {goal: 0.0}
-    heap = [(0.0, goal)]
+    if not grid.in_bounds(goal):
+        raise ValueError(f"cell {goal} out of bounds")
+    costs, offsets = grid._costs, grid._offsets
+    g = goal.y * grid.width + goal.x
+    dist = array("d", [math.inf]) * len(costs)
+    dist[g] = 0.0
+    heap = [(0.0, g)]
     while heap:
         d, u = heapq.heappop(heap)
         if d > dist[u]:
             continue
-        step = grid.cell_cost(u)
-        for v in grid.neighbors(u):
-            nd = d + step
-            if nd < dist.get(v, math.inf):
+        nd = d + costs[u]
+        for step in offsets[u]:
+            v = u + step
+            if nd < dist[v]:
                 dist[v] = nd
                 heapq.heappush(heap, (nd, v))
     return dist
@@ -279,40 +291,45 @@ class SearchLimits:
 
 
 class BlockedGoalTable:
-    """Exact cost-to-goal on `grid` with the cells `blocked` removed,
-    settled on demand.
+    """Exact cost-to-goal on `grid` with the cells at the flat indices
+    `blocked` removed, settled on demand.
 
-    A backward Dijkstra from the goal, as in `goal_distances`, that stops
-    once the queried cell is settled and resumes from its frontier on the
-    next miss (Reverse Resumable A*: Silver, AIIDE 2005; with no
-    heuristic, so one table serves queries from anywhere). A cell reads
-    inf once the frontier is empty without reaching it. Values equal
-    `goal_distances(grid.with_blocked(blocked), goal)`, with no map
-    rebuilt and no cell settled that no query needed.
+    A backward Dijkstra from the goal over the compiled map, as in
+    `goal_distances`, that stops once the queried index is settled and
+    resumes from its frontier on the next miss (Reverse Resumable A*:
+    Silver, AIIDE 2005; with no heuristic, so one table serves queries
+    from anywhere). Labels and settled costs are kept by flat index. An
+    index reads inf once the frontier is empty without reaching it.
+    Values equal `goal_distances(grid.with_blocked(cells), goal)` for the
+    cells at those indices, with no map rebuilt and no cell settled that
+    no query needed.
     """
 
     def __init__(self, grid: WeightedGridMap, goal: Cell, blocked: frozenset):
         self.grid = grid
         self.blocked = blocked
+        g = goal.y * grid.width + goal.x
         self._settled: dict = {}
-        self._labels = {goal: 0.0}
-        self._frontier = [(0.0, goal)]
-        if goal in blocked:
+        self._labels = {g: 0.0}
+        self._frontier = [(0.0, g)]
+        if g in blocked:
             # a removed goal cannot be left, so no other cell reaches it
-            self._settled[goal] = 0.0
+            self._settled[g] = 0.0
             self._frontier = []
 
-    def distance(self, cell: Cell, limits: SearchLimits | None = None) -> float:
-        """Cost-to-goal from `cell`, inf when the goal is out of reach.
+    def distance(self, index: int, limits: SearchLimits | None = None) -> float:
+        """Cost-to-goal from the cell at flat index `index`, inf when the
+        goal is out of reach.
 
         Every `limits.stride` settled cells `limits.check` is consulted
         (settling is not counted as expansions); a `DeadlineExceeded`
         leaves the table whole, to be resumed by a later query.
         """
-        d = self._settled.get(cell)
+        d = self._settled.get(index)
         if d is not None:
             return d
-        grid, blocked, settled = self.grid, self.blocked, self._settled
+        costs, offsets = self.grid._costs, self.grid._offsets
+        blocked, settled = self.blocked, self._settled
         labels, frontier = self._labels, self._frontier
         check = limits.check if limits is not None else None
         while frontier:
@@ -320,9 +337,9 @@ class BlockedGoalTable:
             if u in settled:
                 continue
             settled[u] = d
-            step = grid.cell_cost(u)
-            for v in grid.neighbors(u):
-                nd = d + step
+            nd = d + costs[u]
+            for step in offsets[u]:
+                v = u + step
                 if nd < labels.get(v, math.inf) and v not in blocked:
                     labels[v] = nd
                     heapq.heappush(frontier, (nd, v))
@@ -330,7 +347,7 @@ class BlockedGoalTable:
             # leaves nothing half done
             if check is not None and len(settled) % limits.stride == 0 and check():
                 raise DeadlineExceeded()
-            if u == cell:
+            if u == index:
                 return d
         return math.inf
 
@@ -341,7 +358,7 @@ def constrained_astar(
     constraints=(),
     horizon: int | None = None,
     limits: SearchLimits | None = None,
-    h_map: dict | None = None,
+    h_map: array | None = None,
     blocked_tables=None,
 ) -> TimedPath:
     """Cheapest constraint-respecting timed path in the (cell, t) graph.
@@ -356,15 +373,18 @@ def constrained_astar(
     offsets (`grid._offsets`). A vertex ban is kept as the state it
     forbids, a move ban as `state * N + i` for the index `i` it leaves;
     a ban on a cell outside the map forbids no state and is dropped.
+    Both heuristic tables are read at the index a step enters, so no
+    `Cell` is made before the path is returned.
 
     The heuristic is `h_map`, the goal's `goal_distances` table, until
     `t_static`, the latest start among the vertex bans that run through
     to the horizon. From `t_static` on, the cells those bans cover are
     walls, and the heuristic is the goal's cost on the map without them,
-    read from `blocked_tables(goal, cells)` (a `BlockedGoalTable`; a
-    fresh one when no lookup is given). A state that cannot reach the
-    goal around the walls is pruned. The heuristic only rises, and only
-    at `t_static`, so it stays consistent and the path stays optimal.
+    read from `blocked_tables(goal, indices)` (a `BlockedGoalTable` on
+    the walls' flat indices; a fresh one when no lookup is given). A
+    state that cannot reach the goal around the walls is pruned. The
+    heuristic only rises, and only at `t_static`, so it stays consistent
+    and the path stays optimal.
     """
     if not grid.is_passable(agent.start) or not grid.is_passable(agent.goal):
         raise Unreachable(f"agent {agent.id}: start or goal blocked")
@@ -372,8 +392,7 @@ def constrained_astar(
         horizon = default_horizon(grid)
     width, height = grid.width, grid.height
     n = width * height
-    # `moves[i][0]` is the cell at index i (its wait move)
-    costs, offsets, moves = grid._costs, grid._offsets, grid._neighbors
+    costs, offsets = grid._costs, grid._offsets
     goal = agent.goal.y * width + agent.goal.x
     start = agent.start.y * width + agent.start.x
 
@@ -419,7 +438,7 @@ def constrained_astar(
             while (t - 1) * n + i in vertex_banned:
                 t -= 1
             t_static = max(t_static, t)
-        walls = frozenset(moves[i][0] for i in banned_at_horizon)
+        walls = frozenset(banned_at_horizon)
         if blocked_tables is None:
             static_h = BlockedGoalTable(grid, agent.goal, walls)
         else:
@@ -431,8 +450,7 @@ def constrained_astar(
     tie = itertools.count()
     g_best = {start: 0.0}
     parent: dict = {start: None}
-    c = agent.start
-    h0 = p * (static_h.distance(c, limits) if t_static <= 0 else h_map.get(c, inf))
+    h0 = p * (static_h.distance(start, limits) if t_static <= 0 else h_map[start])
     if h0 == inf:
         raise Unreachable(f"agent {agent.id}: goal not reachable")
     open_heap = [(h0, h0, next(tie), start)]
@@ -447,10 +465,11 @@ def constrained_astar(
             limits.tick()
         t, i = divmod(state, n)
         if i == goal and t > last_goal_ban:
+            # `_neighbors[i][0]` is the cell at index i (its wait move)
             cells = []
             s = state
             while s is not None:
-                cells.append(moves[s % n][0])
+                cells.append(grid._neighbors[s % n][0])
                 s = parent[s]
             cells.reverse()
             return TimedPath(cells=cells, cost=g_best[state])
@@ -467,8 +486,7 @@ def constrained_astar(
                 continue
             g_v = g_u + p * costs[i + d]
             if g_v < g_best.get(ns, inf):
-                c = moves[i + d][0]
-                h_v = p * (static_h.distance(c, limits) if static else h_map.get(c, inf))
+                h_v = p * (static_h.distance(i + d, limits) if static else h_map[i + d])
                 if h_v == inf:
                     continue
                 g_best[ns] = g_v

@@ -46,7 +46,10 @@ def _cell(value, context: str) -> Cell:
 def load_scenario(path) -> Scenario:
     path = Path(path)
     try:
-        doc = yaml.safe_load(path.read_text())
+        # libyaml's safe loader when PyYAML was built with it: the same
+        # document, several times faster than the pure-Python one
+        loader = getattr(yaml, "CSafeLoader", yaml.SafeLoader)
+        doc = yaml.load(path.read_text(), Loader=loader)
     except yaml.YAMLError as exc:
         raise ScenarioError(f"{path}: {exc}") from exc
     if not isinstance(doc, dict):

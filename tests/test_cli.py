@@ -6,6 +6,7 @@ import xml.etree.ElementTree as ET
 from pathlib import Path
 
 import pytest
+import yaml
 
 from sitepath.cli import EXIT_INPUT_ERROR, EXIT_OK, EXIT_STOP_ALL, main
 from sitepath.grid import parse_map
@@ -266,3 +267,24 @@ def test_unwritable_out_is_input_error(corpus, mining_plan, tmp_path, capsys, co
     assert main(argv + ["--out", out]) == EXIT_INPUT_ERROR
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and err[0].startswith("error:"), err
+
+
+def test_replan_unknown_agent_names_it_plainly(mining_plan, tmp_path, capsys):
+    argv = ["replan", *mining_plan, "--out", str(tmp_path), "--deviation", "nobody:lag=1"]
+    assert main(argv) == EXIT_INPUT_ERROR
+    assert capsys.readouterr().err.splitlines() == ["error: unknown agent 'nobody'"]
+
+
+def test_scenario_loaders_agree_and_bad_yaml_is_input_error(corpus, tmp_path, capsys):
+    bad = tmp_path / "bad.yaml"
+    bad.write_text("map: [site.map\nagents: {id: a\n")
+    assert main(["solve", str(bad), "--out", str(tmp_path / "out")]) == EXIT_INPUT_ERROR
+    assert capsys.readouterr().err.startswith(f"error: {bad}: ")
+    fast = getattr(yaml, "CSafeLoader", None)
+    if fast is None:
+        pytest.skip("PyYAML is built without libyaml")
+    yamls = sorted(corpus.glob("*.yaml"))
+    assert len(yamls) == 5
+    for path in yamls:
+        text = path.read_text()
+        assert yaml.load(text, Loader=fast) == yaml.load(text, Loader=yaml.SafeLoader)

@@ -122,3 +122,31 @@ def test_cli_errors_meet_at_one_boundary():
         and any(isinstance(n, ast.Try) for n in ast.walk(node))
     }
     assert owners == {"main", "_apply_overrides", "cmd_bench"}, owners
+
+
+def test_hot_searches_read_the_compiled_map():
+    # the goal tables and constrained A* walk `_costs` and `_offsets` by
+    # flat index; a `cell_cost` or `neighbors` call would bring `Cell`
+    # keys back into their inner loops
+    lowlevel = next(path for path in SOURCES if path.name == "lowlevel.py")
+    tree = ast.parse(lowlevel.read_text(), filename=str(lowlevel))
+    table = next(
+        node for node in tree.body
+        if isinstance(node, ast.ClassDef) and node.name == "BlockedGoalTable"
+    )
+    searches = {
+        node.name: node
+        for node in tree.body + table.body
+        if isinstance(node, ast.FunctionDef)
+        and node.name in {"goal_distances", "distance", "constrained_astar"}
+    }
+    assert set(searches) == {"goal_distances", "distance", "constrained_astar"}
+    calls = [
+        f"{name}:{node.lineno}: {node.func.attr}"
+        for name, search in searches.items()
+        for node in ast.walk(search)
+        if isinstance(node, ast.Call)
+        and isinstance(node.func, ast.Attribute)
+        and node.func.attr in {"cell_cost", "neighbors"}
+    ]
+    assert not calls, calls

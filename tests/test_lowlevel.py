@@ -2,6 +2,7 @@
 
 import math
 import random
+from dataclasses import replace
 
 import pytest
 
@@ -144,6 +145,10 @@ layer rough 1
 """
 
 
+def _index(grid, cell):
+    return cell.y * grid.width + cell.x
+
+
 def test_goal_distances_match_reference():
     rng = random.Random(13)
     for _ in range(40):
@@ -153,9 +158,38 @@ def test_goal_distances_match_reference():
             continue
         ours = goal_distances(grid, goal)
         truth = all_goal_costs(grid, goal)
-        assert set(ours) == set(truth)
-        for cell, v in truth.items():
-            assert ours[cell] == pytest.approx(v)
+        for cell in grid.cells():
+            assert ours[_index(grid, cell)] == pytest.approx(truth.get(cell, math.inf))
+
+
+def test_goal_table_is_inf_exactly_where_the_goal_is_out_of_reach():
+    """A table holds one entry per cell; obstacles, unknown cells and
+    pockets cut off from the goal read inf, and nothing else does."""
+    rng = random.Random(29)
+    seen = {"obstacle": 0, "unknown": 0, "pocket": 0}
+    for _ in range(60):
+        grid = random_map(rng)
+        free = list(grid.passable_cells())
+        # mark a few passable cells as having no data in the first layer
+        unknown = frozenset(rng.sample(free, min(len(free) - 1, rng.randint(0, 4))))
+        first = replace(grid.layers[0], unknown=unknown)
+        grid = replace(grid, layers=(first,) + grid.layers[1:])
+        goal = random_free_cell(grid, rng)
+        if goal is None:
+            continue
+        table = goal_distances(grid, goal)
+        truth = all_goal_costs(grid, goal)
+        assert len(table) == grid.width * grid.height
+        out_of_reach = {_index(grid, c) for c in grid.cells() if c not in truth}
+        assert {i for i, v in enumerate(table) if v == math.inf} == out_of_reach
+        for cell in grid.cells():
+            if cell in grid.obstacles:
+                seen["obstacle"] += 1
+            elif cell in unknown:
+                seen["unknown"] += 1
+            elif cell not in truth:
+                seen["pocket"] += 1
+    assert all(seen.values()), seen
 
 
 def test_start_distances_match_reference():
@@ -191,11 +225,12 @@ def test_blocked_goal_table_matches_reference():
             cells.add(goal)
         cells = frozenset(cells)
         truth = all_goal_costs(grid.with_blocked(cells), goal)
-        table = BlockedGoalTable(grid, goal, cells)
+        table = BlockedGoalTable(grid, goal, frozenset(_index(grid, c) for c in cells))
         queries = list(grid.cells())
         rng.shuffle(queries)
         for cell in queries:
-            assert table.distance(cell) == pytest.approx(truth.get(cell, math.inf))
+            expected = truth.get(cell, math.inf)
+            assert table.distance(_index(grid, cell)) == pytest.approx(expected)
         banned_goals += goal in cells
         unreachable += any(c not in truth for c in grid.passable_cells())
         done += 1
@@ -216,17 +251,18 @@ def test_blocked_goal_table_resumes_after_deadline():
         truth = all_goal_costs(grid.with_blocked(cells), goal)
         if len(truth) < 6:  # the deadline must come before the last cell
             continue
-        table = BlockedGoalTable(grid, goal, cells)
+        table = BlockedGoalTable(grid, goal, frozenset(_index(grid, c) for c in cells))
         calls = []
         limits = SearchLimits(check=lambda: calls.append(1) or len(calls) >= 2, stride=2)
         far = max(truth, key=truth.get)
         with pytest.raises(DeadlineExceeded):
-            table.distance(far, limits)
+            table.distance(_index(grid, far), limits)
         assert limits.expansions == 0
         queries = list(grid.cells())
         rng.shuffle(queries)
         for cell in queries:
-            assert table.distance(cell) == pytest.approx(truth.get(cell, math.inf))
+            expected = truth.get(cell, math.inf)
+            assert table.distance(_index(grid, cell)) == pytest.approx(expected)
         done += 1
 
 
