@@ -13,7 +13,9 @@ search share and which dies with the attempt. It also keeps the lazy
 blocked-map tables that constrained A* reads past a target split's ban.
 
 A constraint-tree child costs only what changed. A node keeps each
-agent's own constraints as a frozenset, so a child extends one entry.
+agent's own constraints as a frozenset, and a child adds one constraint
+to one entry: the target split's "off this cell from now on" is a
+single onward `Constraint`, not a ban per timestep.
 Within an attempt, constrained A* runs once per (agent, constraint set),
 however many sibling nodes re-split the same conflict. A child's
 conflicts are its parent's with the replanned agent's conflicts
@@ -40,7 +42,6 @@ from .lowlevel import (
     Unreachable,
     bidirectional_astar,
     constrained_astar,
-    default_horizon,
     goal_distances,
     path_cost,
 )
@@ -195,38 +196,36 @@ def _conflicts_of(solution: dict, agent_id: str, others: list, horizon: int) -> 
     return conflicts
 
 
-def _split_constraints(
-    conflict: Conflict, solution: dict | None = None, horizon: int = 0
-) -> list:
-    """The two children of a conflict, each a list of constraints.
+def _split_constraints(conflict: Conflict, solution: dict | None = None) -> list:
+    """The two children of a conflict, one constraint each.
 
     A vertex conflict on a cell where one agent is already parked at its
     goal gets the stronger target split: either the parked agent arrives
-    after the conflict (a length bound, one constraint), or the passing
-    agent stays off that cell from the conflict time onward.  Plain
-    conflicts split into one single-timestep constraint per agent.
+    after the conflict (a length bound), or the passing agent stays off
+    that cell from the conflict time onward (one onward ban, which
+    constrained A* expands up to its horizon).  Plain conflicts split
+    into one single-timestep constraint per agent.
     """
-    if conflict.kind == "vertex":
-        c, t = conflict.location, conflict.time
-        if solution is not None:
-            for parked, mover in (conflict.agents, conflict.agents[::-1]):
-                path = solution[parked]
-                if path.cells[-1] == c and len(path) - 1 <= t:
-                    return [
-                        [Constraint(agent=parked, vertex=c, time=t, length_only=True)],
-                        [
-                            Constraint(agent=mover, vertex=c, time=tt)
-                            for tt in range(t, max(horizon, t) + 1)
-                        ],
-                    ]
-        return [[Constraint(agent=a, vertex=c, time=t)] for a in conflict.agents]
-    ca, cb = conflict.location  # cells of agents[0] at t and t+1... see below
     i, j = conflict.agents
-    # swap: i moves ca->cb, j moves cb->ca, both arriving at time+1
-    return [
-        [Constraint(agent=i, vertex=cb, time=conflict.time + 1, from_cell=ca)],
-        [Constraint(agent=j, vertex=ca, time=conflict.time + 1, from_cell=cb)],
-    ]
+    c, t = conflict.location, conflict.time
+    if conflict.kind == "edge":
+        # swap: i moves ca->cb, j moves cb->ca, both arriving at time+1
+        ca, cb = c
+        return [
+            Constraint(agent=i, vertex=cb, time=t + 1, from_cell=ca),
+            Constraint(agent=j, vertex=ca, time=t + 1, from_cell=cb),
+        ]
+
+    def parked(agent_id):  # already waiting on its goal `c` by time t
+        return solution[agent_id].cells[-1] == c and len(solution[agent_id]) - 1 <= t
+
+    if solution is not None and (parked(i) or parked(j)):
+        waiting, mover = (i, j) if parked(i) else (j, i)
+        return [
+            Constraint(agent=waiting, vertex=c, time=t, length_only=True),
+            Constraint(agent=mover, vertex=c, time=t, onward=True),
+        ]
+    return [Constraint(agent=i, vertex=c, time=t), Constraint(agent=j, vertex=c, time=t)]
 
 
 class _GoalTables(dict):
@@ -420,7 +419,6 @@ def _search_ct(
     # harming optimality of the first conflict-free node popped
     open_heap = [(root.cost, len(root_conflicts), next(tie), root, root_conflicts, None)]
     counter = 0
-    horizon = default_horizon(grid)
     coupled_ok = grid.passable_count() ** len(agents) <= _COUPLED_SPACE
     # (agent id, its constraints) -> (those constraints, TimedPath or None);
     # children take the stored set, so equal sets are held once
@@ -430,9 +428,9 @@ def _search_ct(
         """Both child (agent id, its constraints, path) triples for a
         conflict; path None when the constrained agent has no route left."""
         out = []
-        for new_constraints in _split_constraints(conflict, node.solution, horizon):
-            agent = by_id[new_constraints[0].agent]
-            own = node.constraints.get(agent.id, frozenset()).union(new_constraints)
+        for con in _split_constraints(conflict, node.solution):
+            agent = by_id[con.agent]
+            own = node.constraints.get(agent.id, frozenset()) | {con}
             key = (agent.id, own)
             if key not in paths:
                 # a search cut by the deadline raises before it is stored

@@ -17,19 +17,21 @@ passable, in `grid.neighbors` order), and its price is read from
 read by index, with inf where the goal cannot be reached. In
 `constrained_astar` a state (cell, t) is the integer `t * N + i`, and a
 step adds N plus one offset. Vertex and move bans become sets of such
-integers, and cells are built only for the path returned.
+integers, and cells are built only for the path returned. An onward
+vertex ban (the target split's "stay off this cell from `time` on") is
+one `Constraint`, expanded here into its states up to the horizon.
 
 `constrained_astar` takes its heuristic from exact cost-to-goal tables.
-Where vertex bans run through to the horizon (the target split bans a
-machine from a cell from the conflict time on), the cells they cover are
-walls for the rest of the search once the latest of those bans has
-started. From then on the heuristic reads a table of the map with those
-cells removed (`BlockedGoalTable`, keyed by index and settled only as far
-as queries need), and a state that cannot reach the goal around them is
-pruned. This is the completion heuristic of the target reasoning in
-CBSH2-RTC (Li, Harabor, Stuckey & Koenig, AIJ 2021): when a banned cell
-is the only way through, the search ends once the states before the ban
-run out, instead of after the whole (cell, t) space up to the horizon.
+Where vertex bans run through to the horizon, onward or written out step
+by step, the cells they cover are walls for the rest of the search once
+the latest of those bans has started. From then on the heuristic reads
+a table of the map with those cells removed (`BlockedGoalTable`, keyed
+by index and settled only as far as queries need), and a state that
+cannot reach the goal around them is pruned. This is the completion
+heuristic of the target reasoning in CBSH2-RTC (Li, Harabor, Stuckey &
+Koenig, AIJ 2021): when a banned cell is the only way through, the
+search ends once the states before the ban run out, instead of after
+the whole (cell, t) space up to the horizon.
 
 Path cost convention: entering a cell costs its `cell_cost`; the start
 cell itself is free. A wait charges the current cell again, so idling on
@@ -96,6 +98,11 @@ class Constraint(NamedTuple):
     constraint just forbids the path from *ending* at or before `time`;
     passing through the goal earlier stays legal.  Used to push a parked
     agent's arrival past a stretch of traffic in one split.
+
+    When `onward` is set on a vertex ban, it covers every step from
+    `time` through the search horizon (just `time` when that is past the
+    horizon): the target split's "stay off this cell from now on", as
+    one constraint.
     """
 
     agent: str
@@ -103,6 +110,7 @@ class Constraint(NamedTuple):
     time: int
     from_cell: Cell | None = None
     length_only: bool = False
+    onward: bool = False
 
 
 def path_cost(grid: WeightedGridMap, cells: list, priority: float = 1.0) -> float:
@@ -371,20 +379,23 @@ def constrained_astar(
     A state is one integer, `t * N + i` for the cell at flat index `i`
     on a map of N cells, and a step adds N plus one of the map's move
     offsets (`grid._offsets`). A vertex ban is kept as the state it
-    forbids, a move ban as `state * N + i` for the index `i` it leaves;
-    a ban on a cell outside the map forbids no state and is dropped.
-    Both heuristic tables are read at the index a step enters, so no
-    `Cell` is made before the path is returned.
+    forbids, an onward one as each state `t * N + i` for `t` in
+    `time .. max(horizon, time)`, and a move ban as `state * N + i` for
+    the index `i` it leaves; a ban on a cell outside the map forbids no
+    state and is dropped. Both heuristic tables are read at the index a
+    step enters, so no `Cell` is made before the path is returned.
 
     The heuristic is `h_map`, the goal's `goal_distances` table, until
     `t_static`, the latest start among the vertex bans that run through
-    to the horizon. From `t_static` on, the cells those bans cover are
-    walls, and the heuristic is the goal's cost on the map without them,
-    read from `blocked_tables(goal, indices)` (a `BlockedGoalTable` on
-    the walls' flat indices; a fresh one when no lookup is given). A
-    state that cannot reach the goal around the walls is pruned. The
-    heuristic only rises, and only at `t_static`, so it stays consistent
-    and the path stays optimal.
+    to the horizon (a cell's run starts at the first step of the unbroken
+    run of bans that ends there, found by walking back from the horizon).
+    From `t_static` on, the cells those bans cover are walls, and the
+    heuristic is the goal's cost on the map without them, read from
+    `blocked_tables(goal, indices)` (a `BlockedGoalTable` on the walls'
+    flat indices; a fresh one when no lookup is given). A state that
+    cannot reach the goal around the walls is pruned. The heuristic only
+    rises, and only at `t_static`, so it stays consistent and the path
+    stays optimal.
     """
     if not grid.is_passable(agent.start) or not grid.is_passable(agent.goal):
         raise Unreachable(f"agent {agent.id}: start or goal blocked")
@@ -411,11 +422,12 @@ def constrained_astar(
             if i == goal:
                 last_goal_ban = max(last_goal_ban, con.time)
         elif con.from_cell is None:
-            vertex_banned.add(con.time * n + i)
-            if con.time == horizon:
+            last = max(horizon, con.time) if con.onward else con.time
+            vertex_banned.update(range(con.time * n + i, last * n + i + 1, n))
+            if last == horizon:
                 banned_at_horizon.append(i)
             if i == goal:
-                last_goal_ban = max(last_goal_ban, con.time)
+                last_goal_ban = max(last_goal_ban, last)
         else:
             fx, fy = con.from_cell
             if 0 <= fx < width and 0 <= fy < height:

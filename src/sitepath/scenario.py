@@ -34,13 +34,22 @@ class ScenarioError(ValueError):
 
 
 def _cell(value, context: str) -> Cell:
+    # YAML and JSON booleans are ints to Python; `true` is no coordinate
     if (
         not isinstance(value, (list, tuple))
         or len(value) != 2
-        or not all(isinstance(v, int) for v in value)
+        or not all(isinstance(v, int) and not isinstance(v, bool) for v in value)
     ):
         raise ScenarioError(f"{context}: expected [x, y], got {value!r}")
     return Cell(*value)
+
+
+def _whole(value, field: str) -> int:
+    """A count read from YAML; a boolean or a fraction is refused, not
+    truncated by `int`."""
+    if isinstance(value, bool) or isinstance(value, float) and not value.is_integer():
+        raise ScenarioError(f"{field} must be a whole number, got {value!r}")
+    return int(value)
 
 
 def load_scenario(path) -> Scenario:
@@ -82,12 +91,12 @@ def load_scenario(path) -> Scenario:
             grid=grid,
             agents=agents,
             deadline_s=float(doc.get("deadline_s", 5.0)),
-            conflict_threshold=int(doc.get("threshold", 64)),
+            conflict_threshold=_whole(doc.get("threshold", 64), "threshold"),
             strategy=str(doc.get("strategy", "remove")),
-            seed=int(doc.get("seed", 0)),
+            seed=_whole(doc.get("seed", 0), "seed"),
             name=str(doc.get("name", path.stem)),
         )
-    except ValueError as exc:
+    except (TypeError, ValueError) as exc:
         raise ScenarioError(f"{path}: {exc}") from exc
 
 

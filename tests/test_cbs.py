@@ -26,7 +26,9 @@ from sitepath.cbs import (
 from sitepath.grid import Cell, WeightedGridMap, parse_map
 from sitepath.lowlevel import (
     Agent,
+    Constraint,
     TimedPath,
+    Unreachable,
     constrained_astar,
     goal_distances,
     path_cost,
@@ -199,11 +201,11 @@ def test_child_conflicts_from_parent_equal_a_full_scan():
 
 def test_vertex_split_bans_both_agents():
     c = Conflict(kind="vertex", agents=("a", "b"), location=Cell(2, 2), time=3)
-    (ca,), (cb,) = _split_constraints(c)
+    ca, cb = _split_constraints(c)
     assert {ca.agent, cb.agent} == {"a", "b"}
     for x in (ca, cb):
         assert x.vertex == Cell(2, 2) and x.time == 3
-        assert x.from_cell is None and not x.length_only
+        assert x.from_cell is None and not x.length_only and not x.onward
 
 
 def test_vertex_split_on_parked_goal_uses_length_bound():
@@ -213,13 +215,23 @@ def test_vertex_split_on_parked_goal_uses_length_bound():
         "a": TimedPath(cells=[Cell(0, 2), Cell(1, 2), Cell(2, 2)], cost=2.0),
         "b": TimedPath(cells=[Cell(2, 0)], cost=0.0),
     }
-    parked_child, mover_child = _split_constraints(c, solution, horizon=8)
-    (bound,) = parked_child
+    bound, mover = _split_constraints(c, solution)
     assert bound.agent == "a" and bound.length_only
-    assert bound.vertex == Cell(2, 2) and bound.time == 5
-    assert all(x.agent == "b" and x.vertex == Cell(2, 2) for x in mover_child)
-    assert [x.time for x in mover_child] == list(range(5, 9))
-    assert not any(x.length_only for x in mover_child)
+    assert bound.vertex == Cell(2, 2) and bound.time == 5 and not bound.onward
+    assert mover == Constraint("b", Cell(2, 2), 5, onward=True)
+    # the one ban keeps the mover off the cell at every step 5..horizon
+    grid = _uniform_grid()
+    per_step = [Constraint("b", Cell(2, 2), t) for t in range(5, 9)]
+    for goal in grid.passable_cells():
+        b = Agent(id="b", start=Cell(2, 0), goal=goal)
+        found = []
+        for constraints in ([mover], per_step):
+            try:
+                path = constrained_astar(grid, b, constraints, horizon=8)
+                found.append((path.cells, path.cost))
+            except Unreachable as exc:
+                found.append(str(exc))
+        assert found[0] == found[1]
 
 
 def test_edge_split_bans_each_direction():
@@ -229,7 +241,8 @@ def test_edge_split_bans_each_direction():
         location=(Cell(1, 0), Cell(2, 0)),
         time=4,
     )
-    (ca,), (cb,) = _split_constraints(c)
+    ca, cb = _split_constraints(c)
+    assert not ca.onward and not cb.onward
     assert (ca.agent, ca.vertex, ca.time, ca.from_cell) == (
         "a",
         Cell(2, 0),
@@ -323,9 +336,9 @@ def test_ct_children_never_get_cheaper():
                 conflicts = find_conflicts(sol)
                 if not conflicts:
                     continue
-                for new_cons in _split_constraints(conflicts[0], sol, 40):
-                    child_cons = cons + new_cons
-                    agent = next(a for a in agents if a.id == new_cons[0].agent)
+                for con in _split_constraints(conflicts[0], sol):
+                    child_cons = cons + [con]
+                    agent = next(a for a in agents if a.id == con.agent)
                     try:
                         path = constrained_astar(grid, agent, child_cons)
                     except Exception:

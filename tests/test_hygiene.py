@@ -150,3 +150,24 @@ def test_hot_searches_read_the_compiled_map():
         and node.func.attr in {"cell_cost", "neighbors"}
     ]
     assert not calls, calls
+
+
+def test_splits_build_no_constraint_per_step():
+    # a CT child adds one constraint; a `Constraint` built in a loop or a
+    # comprehension would bring back the per-timestep ban lists that an
+    # onward ban replaced
+    cbs = next(path for path in SOURCES if path.name == "cbs.py")
+    tree = ast.parse(cbs.read_text(), filename=str(cbs))
+    loops = (
+        ast.For, ast.AsyncFor, ast.While,
+        ast.ListComp, ast.SetComp, ast.DictComp, ast.GeneratorExp,
+    )
+    built = {
+        f"cbs.py:{node.lineno}"
+        for loop in ast.walk(tree)
+        if isinstance(loop, loops)
+        for node in ast.walk(loop)
+        if isinstance(node, ast.Call)
+        and getattr(node.func, "id", getattr(node.func, "attr", None)) == "Constraint"
+    }
+    assert not built, sorted(built)

@@ -6,6 +6,7 @@ from dataclasses import replace
 
 import pytest
 
+import sitepath.cbs as cbs
 from sitepath.grid import Cell, parse_map
 from sitepath.lowlevel import (
     Agent,
@@ -338,6 +339,80 @@ def test_banned_crossing_is_proved_unreachable_at_once():
     for early in ([], _ban_from(Cell(0, 4), 1, horizon)):
         timed = constrained_astar(grid, agent, early + _ban_from(crossing, 7, horizon))
         assert timed.at(6) == crossing and timed.cost == pytest.approx(12.0)
+
+
+def _per_step(constraints, horizon):
+    """Each onward ban written out as one ban per step `time ..
+    max(horizon, time)`, the form the target split used to build."""
+    out = []
+    for con in constraints:
+        if con.onward:
+            last = max(horizon, con.time)
+            out += [con._replace(time=t, onward=False) for t in range(con.time, last + 1)]
+        else:
+            out.append(con)
+    return out
+
+
+def test_onward_ban_equals_its_per_step_expansion():
+    """One onward ban searches exactly like its bans per step: the same
+    path, cost, `Unreachable` message and expansion count."""
+    rng = random.Random(83)
+    seen = dict.fromkeys(
+        ("goal", "at-horizon", "past-horizon", "off-map", "other-agent", "short",
+         "default", "shared", "unreachable", "walls"),
+        0,
+    )
+    for _ in range(2400):
+        grid = random_map(rng, max_side=4, obstacle_p=0.15)
+        start, goal = _random_pair(grid, rng)
+        if start is None:
+            continue
+        agent = Agent(id="m", start=start, goal=goal, priority=rng.choice((1.0, 2.5)))
+        horizon = rng.choice((rng.randint(2, 6), None))
+        h = default_horizon(grid) if horizon is None else horizon
+        constraints = []
+        for _ in range(rng.randint(1, 3)):
+            cell = rng.choice(
+                (goal, random_free_cell(grid, rng), Cell(grid.width, rng.randrange(2)))
+            )
+            t = rng.choice((rng.randint(0, 6), h, h + rng.randint(1, 2)))
+            constraints.append(Constraint(rng.choice("mmmx"), cell, t, onward=True))
+        for _ in range(rng.randint(0, 2)):
+            constraints.append(
+                Constraint("m", random_free_cell(grid, rng), rng.randint(1, 5))
+            )
+        expanded = _per_step(constraints, h)
+        tables = cbs._GoalTables(grid) if rng.random() < 0.5 else None
+        outcomes = []
+        for form in (constraints, expanded):
+            limits = SearchLimits()
+            kwargs = {}
+            if tables is not None:
+                kwargs = dict(h_map=tables[goal], blocked_tables=tables.blocked)
+            try:
+                timed = constrained_astar(
+                    grid, agent, form, horizon=horizon, limits=limits, **kwargs
+                )
+                outcome = (timed.cells, timed.cost)
+            except Unreachable as exc:
+                outcome = str(exc)
+            outcomes.append((outcome, limits.expansions))
+        assert outcomes[0] == outcomes[1], (constraints, horizon)
+
+        mine = [c for c in constraints if c.agent == "m"]
+        seen["goal"] += any(c.vertex == goal for c in mine)
+        seen["at-horizon"] += any(c.time == h for c in mine)
+        seen["past-horizon"] += any(c.time > h for c in mine)
+        seen["off-map"] += any(not grid.in_bounds(c.vertex) for c in mine)
+        seen["other-agent"] += len(mine) < len(constraints)
+        seen["short" if horizon is not None else "default"] += 1
+        seen["shared"] += tables is not None and bool(tables._blocked)
+        seen["unreachable"] += isinstance(outcomes[0][0], str)
+        seen["walls"] += any(
+            c.time <= h and grid.in_bounds(c.vertex) and c.vertex != goal for c in mine
+        )
+    assert min(seen.values()) > 50, seen
 
 
 def test_constrained_equals_bidirectional_without_constraints():

@@ -81,6 +81,12 @@ def test_load_missing_map_is_scenario_error(tmp_path):
         "map: s.map\nthreshold: -1\nagents: [{id: a, start: [0, 0], goal: [1, 1]}]\n",
         "map: s.map\nagents: [{id: a, start: [0, 0], goal: [1, 1], priority: .nan}]\n",
         "map: s.map\ndeadline_s: .nan\nagents: [{id: a, start: [0, 0], goal: [1, 1]}]\n",
+        "map: s.map\nagents: [{id: a, start: [true, 0], goal: [1, 1]}]\n",
+        "map: s.map\nthreshold: true\nagents: [{id: a, start: [0, 0], goal: [1, 1]}]\n",
+        "map: s.map\nthreshold: 2.7\nagents: [{id: a, start: [0, 0], goal: [1, 1]}]\n",
+        "map: s.map\nseed: false\nagents: [{id: a, start: [0, 0], goal: [1, 1]}]\n",
+        "map: s.map\nseed: 0.5\nagents: [{id: a, start: [0, 0], goal: [1, 1]}]\n",
+        "map: s.map\nthreshold: [1]\nagents: [{id: a, start: [0, 0], goal: [1, 1]}]\n",
     ],
 )
 def test_malformed_scenarios_raise(tmp_path, body):
