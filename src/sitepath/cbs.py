@@ -4,8 +4,13 @@ The solver follows the classic two-level scheme: initial proposals come
 from the bidirectional searcher, conflicts between proposals are split
 into constraints, and only the constrained agent is replanned. On top of
 that sits the realtime contract: every participant must receive a
-command (possibly "wait") within the scenario deadline, falling back to
-agent removal / deferral strategies and ultimately to stop-all.
+command (possibly "wait") within the scenario deadline. An attempt that
+passes the conflict threshold (a count of CT expansions) falls back to
+agent removal / deferral strategies and tries again on the smaller
+fleet. Every search works against the solve's one deadline, and reaching
+it stops the fleet. So for a given input and seed the plan is the one a
+far deadline gives, or stop-all; only which of the two depends on the
+host's speed.
 
 Goal-distance tables are built on first read: each attempt on a grid
 gets one `_GoalTables`, which the constraint-tree search and the joint
@@ -259,8 +264,10 @@ class _GoalTables(dict):
 
 @dataclass
 class _FallbackNeeded(Exception):
-    """A CT attempt gives up: `deadline`, `threshold` (too many
-    expansions), `coupled` (hand over to the joint search) or `exhausted`."""
+    """A CT attempt gives up: `deadline` (the solve's deadline is reached,
+    so the fleet stops), `threshold` (too many expansions: remove machines
+    and try again), `coupled` (hand over to the joint search) or
+    `exhausted` (no conflict-free plan: remove machines)."""
 
     reason: str
 
@@ -624,9 +631,11 @@ def apply_fallback(
 def solve(scenario: Scenario) -> PlanResult:
     """Plan conflict-free timed paths for every agent within the deadline.
 
-    Falls back to the configured removal/deferral strategy when the
-    conflict counter passes the threshold or the deadline nears, and to
-    stop-all (everyone waits at start) as the last resort.
+    Falls back to the configured removal/deferral strategy when an
+    attempt's conflict counter passes the threshold, and tries again on
+    the smaller fleet. Every attempt, and the joint search, runs against
+    the solve's own deadline; reaching it ends the solve in stop-all
+    (everyone waits at start), with no further removal round.
     """
     t0 = time.monotonic()
     deadline = t0 + scenario.deadline_s
@@ -658,10 +667,6 @@ def solve(scenario: Scenario) -> PlanResult:
     while time.monotonic() < deadline:
         # each pass is one attempt on a new grid: a fallback blocks cells
         goal_tables = _GoalTables(grid)
-        # leave room for a retry after a fallback: each CT attempt gets
-        # half of whatever budget is left
-        now = time.monotonic()
-        attempt_deadline = min(deadline, now + max(0.05, (deadline - now) * 0.5))
         mark = len(conflict_log)
         try:
             if removed:
@@ -671,7 +676,7 @@ def solve(scenario: Scenario) -> PlanResult:
                 grid,
                 active,
                 proposals,
-                attempt_deadline,
+                deadline,
                 scenario.conflict_threshold,
                 conflict_log,
                 goal_tables,
@@ -681,15 +686,15 @@ def solve(scenario: Scenario) -> PlanResult:
                 "feasible_after_removal" if removed else "optimal",
             )
         except _FallbackNeeded as fb:
+            if fb.reason == "deadline":
+                break  # no budget is left for another attempt
             if fb.reason == "coupled":
                 # tightly coupled small instance: the tree is thrashing,
-                # so solve the joint state directly while budget remains
-                now = time.monotonic()
-                joint_deadline = min(deadline, now + max(0.05, (deadline - now) * 0.75))
+                # so solve the joint state directly
                 try:
-                    schedule = _joint_search(grid, active, joint_deadline, goal_tables)
+                    schedule = _joint_search(grid, active, deadline, goal_tables)
                 except DeadlineExceeded:
-                    schedule = None
+                    break
                 if schedule is not None:
                     return result(
                         schedule, "feasible_after_removal" if removed else "optimal"

@@ -209,7 +209,7 @@ def _parse_deviation(spec: str) -> tuple:
     if rest == "immobile":
         return agent_id, IMMOBILE
     key, _, value = rest.partition("=")
-    if key != "lag" or not value.isdigit() or int(value) < 1:
+    if key != "lag" or not value.isdecimal() or int(value) < 1:
         raise ScenarioError(f"bad deviation spec {spec!r}")
     return agent_id, int(value)
 

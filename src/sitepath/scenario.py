@@ -44,10 +44,19 @@ def _cell(value, context: str) -> Cell:
     return Cell(*value)
 
 
+def _number(value, field: str):
+    """A number read from YAML, as read; a boolean or a string is refused,
+    not converted by `float` or `int`."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ScenarioError(f"{field} must be a number, got {value!r}")
+    return value
+
+
 def _whole(value, field: str) -> int:
-    """A count read from YAML; a boolean or a fraction is refused, not
-    truncated by `int`."""
-    if isinstance(value, bool) or isinstance(value, float) and not value.is_integer():
+    """A count read from YAML; a fraction is refused too, not truncated
+    by `int`."""
+    value = _number(value, field)
+    if isinstance(value, float) and not value.is_integer():
         raise ScenarioError(f"{field} must be a whole number, got {value!r}")
     return int(value)
 
@@ -81,7 +90,7 @@ def load_scenario(path) -> Scenario:
                     id=str(entry["id"]),
                     start=_cell(entry["start"], f"agent {entry.get('id')}"),
                     goal=_cell(entry["goal"], f"agent {entry.get('id')}"),
-                    priority=float(entry.get("priority", 1.0)),
+                    priority=float(_number(entry.get("priority", 1.0), "priority")),
                 )
             )
         except (KeyError, TypeError, ValueError) as exc:
@@ -90,7 +99,7 @@ def load_scenario(path) -> Scenario:
         return Scenario(
             grid=grid,
             agents=agents,
-            deadline_s=float(doc.get("deadline_s", 5.0)),
+            deadline_s=float(_number(doc.get("deadline_s", 5.0), "deadline_s")),
             conflict_threshold=_whole(doc.get("threshold", 64), "threshold"),
             strategy=str(doc.get("strategy", "remove")),
             seed=_whole(doc.get("seed", 0), "seed"),

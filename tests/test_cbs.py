@@ -27,6 +27,7 @@ from sitepath.grid import Cell, WeightedGridMap, parse_map
 from sitepath.lowlevel import (
     Agent,
     Constraint,
+    DeadlineExceeded,
     TimedPath,
     Unreachable,
     constrained_astar,
@@ -692,3 +693,82 @@ def test_stranded_cascade_blocks_each_round_in_one_map(monkeypatch):
     assert blocked == [{by_id["agent15"].start, by_id["agent6"].start}]
     # the round was handed exactly the root conflicts of the first attempt
     assert rounds[0] == find_conflicts(_initial_solution(scenario.grid, scenario.agents))
+
+
+@pytest.mark.parametrize("second_attempt", ["deadline", "coupled"])
+def test_reaching_the_deadline_stops_the_fleet_at_once(monkeypatch, second_attempt):
+    # threshold 0: the first attempt falls back at its root; the second
+    # reaches the deadline in the tree, or in the joint search it hands to
+    scenario = archetype_scenario(
+        "archetype-1-open-20", 0, conflict_threshold=0, deadline_s=600
+    )
+    attempts = []
+    search_ct = cbs._search_ct
+
+    def second_reaches_deadline(*args):
+        attempts.append(args[1])
+        if len(attempts) == 2:
+            raise cbs._FallbackNeeded(second_attempt)
+        return search_ct(*args)
+
+    def joint_reaches_deadline(*args):
+        raise DeadlineExceeded()
+
+    rounds = []
+
+    def recording_fallback(*args, **kwargs):
+        rounds.append(apply_fallback(*args, **kwargs))
+        return rounds[-1]
+
+    monkeypatch.setattr(cbs, "_search_ct", second_reaches_deadline)
+    monkeypatch.setattr(cbs, "_joint_search", joint_reaches_deadline)
+    monkeypatch.setattr(cbs, "apply_fallback", recording_fallback)
+    result = solve(scenario)
+
+    assert len(attempts) == 2
+    assert result.status == "stop_all"
+    assert result.total_cost == 0.0
+    for agent in scenario.agents:
+        assert result.schedule[agent.id].cells == [agent.start]
+    # one removal round, for the first attempt's threshold, and no other
+    assert len(rounds) == 1 and rounds[0]
+    assert result.removed_agents == rounds[0]
+    assert [a.id for a in attempts[1]] == [
+        a.id for a in scenario.agents if a.id not in rounds[0]
+    ]
+
+
+class _StepClock:
+    """A `time` stand-in whose `monotonic` advances a fixed step per read,
+    so a deadline is reached after a count of reads on any host."""
+
+    def __init__(self, step):
+        self.step = step
+        self.now = 0.0
+
+    def monotonic(self):
+        self.now += self.step
+        return self.now
+
+
+def test_a_deadline_gives_the_far_plan_or_stop_all(monkeypatch):
+    # 5 s is 800 reads of the step clock: the bridge solves need fewer
+    # (seeds 3 and 7 more than 400, so an attempt given half the budget
+    # would be cut), the archetype-2 solves more. A stop-all needs no far
+    # plan to compare with, so none is solved
+    def outcome(result):
+        paths = {i: p.cells for i, p in result.schedule.items()}
+        return result.status, result.removed_agents, paths
+
+    monkeypatch.setattr(cbs, "time", _StepClock(5.0 / 800))
+    kept = stopped = 0
+    for name in ("archetype-2-open-50", "archetype-4-bridge"):
+        for seed in range(10):
+            near = outcome(solve(archetype_scenario(name, seed, deadline_s=5)))
+            if near[0] == "stop_all":
+                stopped += 1
+                continue
+            far = outcome(solve(archetype_scenario(name, seed, deadline_s=600)))
+            assert near == far, (name, seed)
+            kept += 1
+    assert kept and stopped

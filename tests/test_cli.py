@@ -150,20 +150,24 @@ def test_replan_command_round_trip(corpus, tmp_path):
     assert (out / "schedule.csv").exists()
 
 
-def test_replan_bad_deviation_spec(corpus, tmp_path):
+def test_replan_bad_deviation_spec(corpus, tmp_path, capsys):
     solved = tmp_path / "solved"
     scenario_path = corpus / "archetype-5-mining.yaml"
     assert main(["solve", str(scenario_path), "--out", str(solved)]) == EXIT_OK
-    code = main(
-        [
-            "replan",
-            str(scenario_path),
-            str(solved / "schedule.csv"),
-            "--deviation",
-            "agent0:lag=never",
-        ]
-    )
-    assert code == EXIT_INPUT_ERROR
+    # a superscript two is a digit to `str.isdigit` but not to `int`
+    for spec in ("agent0:lag=never", "agent0:lag=\u00b2"):
+        capsys.readouterr()
+        code = main(
+            [
+                "replan",
+                str(scenario_path),
+                str(solved / "schedule.csv"),
+                "--deviation",
+                spec,
+            ]
+        )
+        assert code == EXIT_INPUT_ERROR
+        assert "error: bad deviation spec" in capsys.readouterr().err
 
 
 def test_replan_immobile_corridor_exits_stop_all(tmp_path):

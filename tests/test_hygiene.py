@@ -171,3 +171,26 @@ def test_splits_build_no_constraint_per_step():
         and getattr(node.func, "id", getattr(node.func, "attr", None)) == "Constraint"
     }
     assert not built, sorted(built)
+
+
+def test_every_search_gets_the_solves_own_deadline():
+    # a CT attempt ends on the conflict threshold, not on a share of the
+    # clock: a budget split handed to either search would make the plan
+    # depend on the host's speed
+    cbs = next(path for path in SOURCES if path.name == "cbs.py")
+    calls = [
+        node
+        for node in ast.walk(ast.parse(cbs.read_text(), filename=str(cbs)))
+        if isinstance(node, ast.Call)
+        and getattr(node.func, "id", None) in {"_search_ct", "_joint_search"}
+    ]
+    assert {node.func.id for node in calls} == {"_search_ct", "_joint_search"}
+    split = [
+        f"cbs.py:{node.lineno}: {node.func.id}"
+        for node in calls
+        if not any(
+            isinstance(arg, ast.Name) and arg.id == "deadline"
+            for arg in node.args + [k.value for k in node.keywords]
+        )
+    ]
+    assert not split, split

@@ -87,6 +87,11 @@ def test_load_missing_map_is_scenario_error(tmp_path):
         "map: s.map\nseed: false\nagents: [{id: a, start: [0, 0], goal: [1, 1]}]\n",
         "map: s.map\nseed: 0.5\nagents: [{id: a, start: [0, 0], goal: [1, 1]}]\n",
         "map: s.map\nthreshold: [1]\nagents: [{id: a, start: [0, 0], goal: [1, 1]}]\n",
+        "map: s.map\nthreshold: '64'\nagents: [{id: a, start: [0, 0], goal: [1, 1]}]\n",
+        "map: s.map\ndeadline_s: true\nagents: [{id: a, start: [0, 0], goal: [1, 1]}]\n",
+        "map: s.map\ndeadline_s: '5'\nagents: [{id: a, start: [0, 0], goal: [1, 1]}]\n",
+        "map: s.map\nagents: [{id: a, start: [0, 0], goal: [1, 1], priority: '2'}]\n",
+        "map: s.map\nagents: [{id: a, start: [0, 0], goal: [1, 1], priority: true}]\n",
     ],
 )
 def test_malformed_scenarios_raise(tmp_path, body):
