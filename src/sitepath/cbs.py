@@ -274,7 +274,10 @@ class _FallbackNeeded(Exception):
 
 # expansions before a thrashing constraint tree hands a small instance
 # over to the coupled joint-state search, and the largest joint position
-# space (free cells ** agents) that search is allowed to take on
+# space (free cells ** agents) that search is allowed to take on. The
+# threshold is checked first, so the hand-off fires only under a conflict
+# threshold above 600: never under the defaults of 64 (`Scenario`) and
+# 256 (`archetype_scenario`)
 _COUPLED_AFTER = 600
 _COUPLED_SPACE = 500_000
 
@@ -658,7 +661,8 @@ def solve(scenario: Scenario) -> PlanResult:
         return PlanResult(
             schedule=schedule,
             status=status,
-            removed_agents=list(removed),
+            # on stop-all nobody is removed: the whole fleet waits
+            removed_agents=[] if status == "stop_all" else list(removed),
             conflict_log=conflict_log,
             elapsed_initial_s=elapsed_initial,
             elapsed_update_s=time.monotonic() - t0 - elapsed_initial,

@@ -1,11 +1,13 @@
 """Emergency handling while a schedule is executing.
 
 When a machine falls behind or breaks down mid-plan, the whole fleet is
-replanned from its actual positions. If the deviant machine alone makes
-the replan blow the realtime budget, it gets parked at a midway goal
-that stays out of everyone's way; if it is immobile and physically
-blocks another machine's every route, the only safe command left is
-stop-all and a call for human intervention.
+replanned from its actual positions. If the fleet cannot be solved
+cleanly and the fleet without the deviant machine can, the deviant gets
+parked at a midway goal that stays out of everyone's way; if it is
+immobile and physically blocks another machine's every route, the only
+safe command left is stop-all and a call for human intervention. The
+deadline is the only wall-clock input: a replan returns the plan a far
+deadline gives, or stop-all.
 """
 
 from __future__ import annotations
@@ -139,17 +141,19 @@ def _stop_all(state: ExecutionState, elapsed: float) -> PlanResult:
 
 
 def replan(state: ExecutionState, deadline_s: float = 5.0) -> PlanResult:
-    """Replan the fleet from its actual positions within the budget.
+    """Replan the fleet from its actual positions within the deadline.
 
     An immobile machine that corks another machine's only route forces
-    stop-all. Otherwise the whole fleet is re-solved; if the deviant
-    agent alone is what breaks the budget (solving without it finishes
-    within half the deadline), it is reassigned a midway goal and the
-    fleet is solved once more.
+    stop-all. Otherwise the whole fleet is re-solved; if that solve is
+    not optimal and a mobile machine deviates, the first such machine is
+    left out and the rest solved, and unless that ends in stop-all it is
+    reassigned a midway goal and the fleet is solved once more.
 
     All of this work counts against `deadline_s`: the cut-off checks,
-    every solve and the midway search draw on one budget, and when it
-    is spent before the last solve can start the fleet is stopped.
+    every solve and the midway search draw on one deadline, each solve
+    gets what is left of it, and a plan that ends in stop-all, or a
+    deadline reached by the end, stops the fleet. So the result is the
+    plan a far deadline gives, or stop-all.
     """
     t0 = time.monotonic()
 
@@ -169,52 +173,40 @@ def replan(state: ExecutionState, deadline_s: float = 5.0) -> PlanResult:
     parked = [state.positions[a] for a in immobile]
     work_grid = grid.with_blocked(parked) if parked else grid
 
-    def run(agents, budget):
+    def run(agents):
         moved = [replace(a, start=state.positions[a.id]) for a in agents]
-        # a spent budget (an overrun, or the clock's tick past a zero
-        # deadline) is an empty one: solve then stops the fleet at once
+        # every solve gets what is left of the one deadline; a spent one
+        # is empty, and the solve then stops the fleet at once
         return solve(
             replace(
                 state.scenario,
                 grid=work_grid,
                 agents=moved,
-                deadline_s=max(budget, 0.0),
+                deadline_s=max(left(), 0.0),
             )
         )
 
     try:
-        result = run(mobile_agents, left())
-        # the budget counts as breached when the fleet could not be solved
-        # cleanly in time: outright stop-all, forced removals, or overrun
-        breached = result.status != "optimal" or left() < 0
+        result = run(mobile_agents)
         mobile_deviants = [a for a in deviants if a not in immobile]
-        if breached and mobile_deviants:
+        if result.status != "optimal" and mobile_deviants:
             troublemaker = mobile_deviants[0]
-            rest = [a for a in mobile_agents if a.id != troublemaker]
-            try:
-                without = run(rest, min(deadline_s / 2.0, left()))
-            except UnsolvableError:
-                without = None
-            finished_fast = (
-                without is not None
-                and without.status != "stop_all"
-                and without.elapsed_initial_s + without.elapsed_update_s <= deadline_s / 2.0
-            )
-            if finished_fast:
+            without = run([a for a in mobile_agents if a.id != troublemaker])
+            if without.status != "stop_all":
                 probe = replace(state, planned=without, now=0)
                 new_goal = midway_goal(work_grid, probe, troublemaker)
-                if left() <= 0:
-                    return _stop_all(state, time.monotonic() - t0)
                 redirected = [
                     replace(a, goal=new_goal) if a.id == troublemaker else a
                     for a in mobile_agents
                 ]
-                result = run(redirected, left())
+                result = run(redirected)
                 result.midway_goals = {troublemaker: new_goal}
     except (UnsolvableError, Unreachable):
         return _stop_all(state, time.monotonic() - t0)
 
-    if result.status == "stop_all":
+    # a solve cut by the deadline ends after it, so checking the deadline
+    # here stops the fleet whenever any of the solves above was cut
+    if result.status == "stop_all" or left() <= 0:
         return _stop_all(state, time.monotonic() - t0)
 
     # immobile machines appear in the schedule as frozen at their cell

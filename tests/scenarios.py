@@ -1,4 +1,4 @@
-"""Hand-built scenario fixtures shared by the replan and acceptance tests."""
+"""Hand-built scenario fixtures and a step clock shared by the tests."""
 
 from sitepath.cbs import Scenario
 from sitepath.grid import Cell
@@ -49,3 +49,16 @@ layer ground 1
 1 1 1 1 1 1 1
 # # # # # # #
 """
+
+
+class StepClock:
+    """A `time` stand-in whose `monotonic` advances a fixed step per read,
+    so a deadline is reached after a count of reads on any host."""
+
+    def __init__(self, step):
+        self.step = step
+        self.now = 0.0
+
+    def monotonic(self):
+        self.now += self.step
+        return self.now

@@ -36,6 +36,7 @@ from sitepath.lowlevel import (
 )
 from sitepath.mapgen import archetype_scenario, open_field, random_agents
 from oracles import joint_state_cost, random_free_cell, random_map
+from scenarios import StepClock
 
 UNIFORM55 = "map 5 5 10\nlayer flat 1\n" + "\n".join(["1 1 1 1 1"] * 5) + "\n"
 
@@ -732,23 +733,11 @@ def test_reaching_the_deadline_stops_the_fleet_at_once(monkeypatch, second_attem
         assert result.schedule[agent.id].cells == [agent.start]
     # one removal round, for the first attempt's threshold, and no other
     assert len(rounds) == 1 and rounds[0]
-    assert result.removed_agents == rounds[0]
+    # the whole fleet waits, so the stop-all lists no removed machine
+    assert result.removed_agents == []
     assert [a.id for a in attempts[1]] == [
         a.id for a in scenario.agents if a.id not in rounds[0]
     ]
-
-
-class _StepClock:
-    """A `time` stand-in whose `monotonic` advances a fixed step per read,
-    so a deadline is reached after a count of reads on any host."""
-
-    def __init__(self, step):
-        self.step = step
-        self.now = 0.0
-
-    def monotonic(self):
-        self.now += self.step
-        return self.now
 
 
 def test_a_deadline_gives_the_far_plan_or_stop_all(monkeypatch):
@@ -760,7 +749,7 @@ def test_a_deadline_gives_the_far_plan_or_stop_all(monkeypatch):
         paths = {i: p.cells for i, p in result.schedule.items()}
         return result.status, result.removed_agents, paths
 
-    monkeypatch.setattr(cbs, "time", _StepClock(5.0 / 800))
+    monkeypatch.setattr(cbs, "time", StepClock(5.0 / 800))
     kept = stopped = 0
     for name in ("archetype-2-open-50", "archetype-4-bridge"):
         for seed in range(10):

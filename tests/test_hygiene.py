@@ -194,3 +194,24 @@ def test_every_search_gets_the_solves_own_deadline():
         )
     ]
     assert not split, split
+
+
+def test_replan_reads_no_clock_rule_of_its_own():
+    # a replan gets one deadline, like a solve: a solve's elapsed time or
+    # a share of the deadline would make the replan depend on the host
+    replan = next(path for path in SOURCES if path.name == "replan.py")
+    tree = ast.parse(replan.read_text(), filename=str(replan))
+    rules = [
+        f"replan.py:{node.lineno}: {node.attr}"
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Attribute)
+        and node.attr in {"elapsed_initial_s", "elapsed_update_s"}
+    ] + [
+        f"replan.py:{node.lineno}: deadline_s divided"
+        for node in ast.walk(tree)
+        if isinstance(node, ast.BinOp)
+        and isinstance(node.op, (ast.Div, ast.FloorDiv))
+        and isinstance(node.left, ast.Name)
+        and node.left.id == "deadline_s"
+    ]
+    assert not rules, rules

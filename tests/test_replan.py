@@ -24,7 +24,7 @@ from oracles import (
     random_free_cell,
     random_map,
 )
-from scenarios import CORRIDOR_TEXT, bridging_scenario
+from scenarios import CORRIDOR_TEXT, StepClock, bridging_scenario
 
 OPEN = "map 6 6 10\nlayer flat 1\n" + "\n".join(["1 1 1 1 1 1"] * 6) + "\n"
 
@@ -126,8 +126,8 @@ def test_zero_deadline_stops_the_fleet():
 
 
 def test_an_overrun_first_solve_does_not_raise(monkeypatch):
-    # the first solve finishes, but past the deadline: the budget is
-    # breached and spent, so the solve without the deviant gets none
+    # the first solve is optimal, but it ends past the deadline: no other
+    # solve runs, and the late plan gives way to stop-all
     sc = _open_scenario(((0, 0), (5, 0)), ((0, 5), (5, 5)))
     base = solve(sc)
     lagged = inject_delay(ExecutionState(scenario=sc, planned=base, now=3), "m0", 1)
@@ -141,11 +141,10 @@ def test_an_overrun_first_solve_does_not_raise(monkeypatch):
 
     monkeypatch.setattr("sitepath.replan.solve", slow_solve)
     result = replan(lagged, deadline_s=0.05)
-    assert len(budgets) == 2
-    assert 0 < budgets[0] <= 0.05 and budgets[1] == 0.0
-    # the fleet's solve stands: the one without the deviant was not fast
-    assert result.status == "optimal"
-    assert find_conflicts(result.schedule) == []
+    assert len(budgets) == 1 and 0 < budgets[0] <= 0.05
+    assert result.status == "stop_all"
+    for agent in sc.agents:
+        assert result.schedule[agent.id].cells == [lagged.positions[agent.id]]
 
 
 def test_replan_without_deviation_is_a_plain_resolve():
@@ -328,3 +327,39 @@ def test_replan_deadline_contract():
         result = replan(state, deadline_s=budget)
         assert time.monotonic() - t0 < budget + 0.5
         assert find_conflicts(result.schedule) == []
+
+
+def test_a_deadline_gives_the_far_replan_or_stop_all(monkeypatch):
+    # 5 s is 20 reads of the step clock: enough for some replans, too few
+    # for the others. Whichever it is, the replan may not mix the two: it
+    # returns what 600 s on the real clock gives, or stop-all
+    def outcome(result):
+        paths = {i: p.cells for i, p in result.schedule.items()}
+        return result.status, result.removed_agents, result.midway_goals, paths
+
+    scenario = archetype_scenario("archetype-1-open-20", 0, deadline_s=600)
+    base = solve(scenario)
+    state = ExecutionState(
+        scenario=replace(scenario, conflict_threshold=0), planned=base, now=3
+    )
+    kept = stopped = 0
+    for agent in scenario.agents:
+        for lag in (1, 2, IMMOBILE):
+            moved = inject_delay(state, agent.id, lag)
+            try:
+                far = outcome(replan(moved, deadline_s=600))
+            except ValueError as exc:
+                # the lag puts the machine back on a cell another one holds
+                assert str(exc) == "agent starts must be pairwise distinct"
+                continue
+            with monkeypatch.context() as patch:
+                clock = StepClock(5.0 / 20)
+                patch.setattr("sitepath.cbs.time", clock)
+                patch.setattr("sitepath.replan.time", clock)
+                near = outcome(replan(moved, deadline_s=5))
+            if near[0] == "stop_all":
+                stopped += 1
+            else:
+                assert near == far, (agent.id, lag)
+                kept += 1
+    assert kept and stopped
