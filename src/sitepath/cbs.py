@@ -7,10 +7,12 @@ that sits the realtime contract: every participant must receive a
 command (possibly "wait") within the scenario deadline. An attempt that
 passes the conflict threshold (a count of CT expansions) falls back to
 agent removal / deferral strategies and tries again on the smaller
-fleet. Every search works against the solve's one deadline, and reaching
-it stops the fleet. So for a given input and seed the plan is the one a
-far deadline gives, or stop-all; only which of the two depends on the
-host's speed.
+fleet. The solve's one deadline lives in one `SearchLimits`: the initial
+proposals, the goal-table builds, each CT pop, constrained A* and the
+joint search all check it, and the `DeadlineExceeded` any of them raises
+is caught once, in `solve`, which stops the fleet. So for a given input
+and seed the plan is the one a far deadline gives, or stop-all; only
+which of the two depends on the host's speed.
 
 Goal-distance tables are built on first read: each attempt on a grid
 gets one `_GoalTables`, which the constraint-tree search and the joint
@@ -243,15 +245,18 @@ class _GoalTables(dict):
     started. Many CT nodes carry the same split, so the table is kept by
     (goal, cells) and resumed, never rebuilt. `solve` makes one store per
     attempt, so every table lives only as long as the attempt and the
-    grid it was built for.
+    grid it was built for. The solve's deadline is checked before each
+    table build.
     """
 
-    def __init__(self, grid: WeightedGridMap):
+    def __init__(self, grid: WeightedGridMap, limits: SearchLimits):
         super().__init__()
         self.grid = grid
+        self.limits = limits
         self._blocked: dict = {}
 
     def __missing__(self, goal):
+        self.limits.check()
         table = self[goal] = goal_distances(self.grid, goal)
         return table
 
@@ -264,10 +269,10 @@ class _GoalTables(dict):
 
 @dataclass
 class _FallbackNeeded(Exception):
-    """A CT attempt gives up: `deadline` (the solve's deadline is reached,
-    so the fleet stops), `threshold` (too many expansions: remove machines
-    and try again), `coupled` (hand over to the joint search) or
-    `exhausted` (no conflict-free plan: remove machines)."""
+    """A CT attempt gives up: `threshold` (too many expansions: remove
+    machines and try again), `coupled` (hand over to the joint search) or
+    `exhausted` (no conflict-free plan: remove machines). Reaching the
+    deadline is not a fallback: `DeadlineExceeded` stops the fleet."""
 
     reason: str
 
@@ -283,7 +288,7 @@ _COUPLED_SPACE = 500_000
 
 
 def _joint_search(
-    grid: WeightedGridMap, agents: list, deadline: float, goal_tables: _GoalTables
+    grid: WeightedGridMap, agents: list, limits: SearchLimits, goal_tables: _GoalTables
 ):
     """Coupled A* over the joint agent state.
 
@@ -322,8 +327,7 @@ def _joint_search(
         heapq.heappush(heap, (h(starts, flags), next(tie), 0.0, state))
     goal_state = None
     while heap:
-        if time.monotonic() >= deadline:
-            raise DeadlineExceeded("joint search ran out of time")
+        limits.check()
         _, _, g, state = heapq.heappop(heap)
         positions, finished = state
         if g > best.get(state, math.inf) + 1e-12:
@@ -386,9 +390,10 @@ def _wait_at_start(agent: Agent) -> TimedPath:
     return TimedPath(cells=[agent.start], cost=0.0)
 
 
-def _initial_solution(grid: WeightedGridMap, agents: list) -> dict:
+def _initial_solution(grid: WeightedGridMap, agents: list, limits: SearchLimits) -> dict:
     solution = {}
     for agent in agents:
+        limits.check()
         try:
             cells, cost = bidirectional_astar(grid, agent.start, agent.goal)
         except Unreachable as exc:
@@ -401,7 +406,7 @@ def _search_ct(
     grid: WeightedGridMap,
     agents: list,
     proposals: dict,
-    deadline: float,
+    limits: SearchLimits,
     threshold: int,
     conflict_log: list,
     goal_tables: _GoalTables,
@@ -409,7 +414,8 @@ def _search_ct(
     """Best-first constraint-tree search from the root `proposals`.
 
     Logs the root's conflicts, then each split one (phase `update`), into
-    `conflict_log`; raises `_FallbackNeeded(reason)` on giving up.
+    `conflict_log`; raises `_FallbackNeeded(reason)` on giving up, and
+    `DeadlineExceeded` once `limits`' deadline is reached.
     `goal_tables` lives for this attempt on this grid; a machine's table
     is built only when the machine is first replanned under a constraint.
 
@@ -420,7 +426,6 @@ def _search_ct(
     again. A child's conflicts are derived from its parent's.
     """
     by_id = {a.id: a for a in agents}
-    limits = SearchLimits(check=lambda: time.monotonic() >= deadline)
     root_conflicts = find_conflicts(proposals)
     conflict_log.extend(root_conflicts)
     root = CTNode(constraints={}, solution=proposals, cost=sic(proposals))
@@ -465,8 +470,7 @@ def _search_ct(
     audition = 4
 
     while open_heap:
-        if time.monotonic() >= deadline:
-            raise _FallbackNeeded("deadline")
+        limits.check()
         _, _, _, node, conflicts, chosen = heapq.heappop(open_heap)
         if not conflicts:
             return node
@@ -475,22 +479,19 @@ def _search_ct(
             raise _FallbackNeeded("threshold")
         if coupled_ok and counter > _COUPLED_AFTER:
             raise _FallbackNeeded("coupled")
-        try:
-            if chosen is None:
-                for conflict in conflicts[:audition]:
-                    children = split_children(node, conflict)
-                    raised = 0
-                    for agent_id, _, path in children:
-                        old = node.solution[agent_id]
-                        if path is None or path.cost > old.cost + 1e-9:
-                            raised += 1
-                    rank = 2 - raised
-                    if chosen is None or rank < chosen[0]:
-                        chosen = (rank, conflict, children)
-                    if rank == 0:
-                        break
-        except DeadlineExceeded:
-            raise _FallbackNeeded("deadline") from None
+        if chosen is None:
+            for conflict in conflicts[:audition]:
+                children = split_children(node, conflict)
+                raised = 0
+                for agent_id, _, path in children:
+                    old = node.solution[agent_id]
+                    if path is None or path.cost > old.cost + 1e-9:
+                        raised += 1
+                rank = 2 - raised
+                if chosen is None or rank < chosen[0]:
+                    chosen = (rank, conflict, children)
+                if rank == 0:
+                    break
         rank, conflict, children = chosen
         if rank == 0:
             # a cardinal conflict guarantees the cost rises by at least the
@@ -636,98 +637,99 @@ def solve(scenario: Scenario) -> PlanResult:
 
     Falls back to the configured removal/deferral strategy when an
     attempt's conflict counter passes the threshold, and tries again on
-    the smaller fleet. Every attempt, and the joint search, runs against
-    the solve's own deadline; reaching it ends the solve in stop-all
+    the smaller fleet. Every search draws on one `SearchLimits` that holds
+    the solve's deadline; reaching it ends the solve in stop-all
     (everyone waits at start), with no further removal round.
     """
     t0 = time.monotonic()
-    deadline = t0 + scenario.deadline_s
+    limits = SearchLimits(deadline=t0 + scenario.deadline_s)
     rng = random.Random(scenario.seed)
     conflict_log: list = []
     removed: list = []
-
-    # time the initial bidirectional phase separately
-    proposals = _initial_solution(scenario.grid, scenario.agents)
-    elapsed_initial = time.monotonic() - t0
-
     active = list(scenario.agents)
     grid = scenario.grid
+    elapsed_initial = None
 
     def result(schedule: dict, status: str) -> PlanResult:
         # removed agents, and everyone on stop-all, get a wait-at-start order
         for a in scenario.agents:
             if a.id not in schedule:
                 schedule[a.id] = _wait_at_start(a)
+        elapsed = time.monotonic() - t0
+        # a deadline in the initial phase leaves all of the time to it
+        initial = elapsed if elapsed_initial is None else elapsed_initial
         return PlanResult(
             schedule=schedule,
             status=status,
             # on stop-all nobody is removed: the whole fleet waits
             removed_agents=[] if status == "stop_all" else list(removed),
             conflict_log=conflict_log,
-            elapsed_initial_s=elapsed_initial,
-            elapsed_update_s=time.monotonic() - t0 - elapsed_initial,
+            elapsed_initial_s=initial,
+            elapsed_update_s=elapsed - initial,
         )
 
-    while time.monotonic() < deadline:
-        # each pass is one attempt on a new grid: a fallback blocks cells
-        goal_tables = _GoalTables(grid)
-        mark = len(conflict_log)
-        try:
-            if removed:
-                # a fallback changed the fleet and the grid: propose afresh
-                proposals = _initial_solution(grid, active)
-            goal_node = _search_ct(
-                grid,
-                active,
-                proposals,
-                deadline,
-                scenario.conflict_threshold,
-                conflict_log,
-                goal_tables,
-            )
-            return result(
-                dict(goal_node.solution),
-                "feasible_after_removal" if removed else "optimal",
-            )
-        except _FallbackNeeded as fb:
-            if fb.reason == "deadline":
-                break  # no budget is left for another attempt
-            if fb.reason == "coupled":
-                # tightly coupled small instance: the tree is thrashing,
-                # so solve the joint state directly
-                try:
-                    schedule = _joint_search(grid, active, deadline, goal_tables)
-                except DeadlineExceeded:
+    # the deadline ends the solve wherever it is reached, the joint search
+    # inside the fallback handler included
+    try:
+        # time the initial bidirectional phase separately
+        proposals = _initial_solution(grid, active, limits)
+        elapsed_initial = time.monotonic() - t0
+        while True:
+            # each pass is one attempt on a new grid: a fallback blocks cells
+            goal_tables = _GoalTables(grid, limits)
+            mark = len(conflict_log)
+            try:
+                if removed:
+                    # a fallback changed the fleet and the grid: propose afresh
+                    proposals = _initial_solution(grid, active, limits)
+                goal_node = _search_ct(
+                    grid,
+                    active,
+                    proposals,
+                    limits,
+                    scenario.conflict_threshold,
+                    conflict_log,
+                    goal_tables,
+                )
+                return result(
+                    dict(goal_node.solution),
+                    "feasible_after_removal" if removed else "optimal",
+                )
+            except _FallbackNeeded as fb:
+                if fb.reason == "coupled":
+                    # tightly coupled small instance: the tree is thrashing,
+                    # so solve the joint state directly
+                    schedule = _joint_search(grid, active, limits, goal_tables)
+                    if schedule is not None:
+                        return result(
+                            schedule, "feasible_after_removal" if removed else "optimal"
+                        )
+                dropped = apply_fallback(
+                    active,
+                    proposals,
+                    conflict_log[mark:],
+                    scenario.strategy,
+                    k=max(1, len(active) // 8),
+                    rng=rng,
+                )
+                if not dropped:
                     break
-                if schedule is not None:
-                    return result(
-                        schedule, "feasible_after_removal" if removed else "optimal"
-                    )
-            dropped = apply_fallback(
-                active,
-                proposals,
-                conflict_log[mark:],
-                scenario.strategy,
-                k=max(1, len(active) // 8),
-                rng=rng,
-            )
-            if not dropped:
+                # parking somebody on another agent's goal strands that agent
+                # (starts are distinct, so only a goal can be parked on);
+                # cascade the removal until everyone left can still reach home
+                parked = set()
+                while dropped:
+                    removed.extend(dropped)
+                    parked.update(a.start for a in active if a.id in dropped)
+                    active = [a for a in active if a.id not in dropped]
+                    dropped = [a.id for a in active if a.goal in parked]
+                grid = grid.with_blocked(parked)
+            except UnsolvableError:
+                # only a proposal made after a removal gets here: a parked
+                # agent cut someone off, and all that is left is stop-all
                 break
-            # parking somebody on another agent's goal strands that agent
-            # (starts are distinct, so only a goal can be parked on);
-            # cascade the removal until everyone left can still reach home
-            parked = set()
-            while dropped:
-                removed.extend(dropped)
-                parked.update(a.start for a in active if a.id in dropped)
-                active = [a for a in active if a.id not in dropped]
-                dropped = [a.id for a in active if a.goal in parked]
-            grid = grid.with_blocked(parked)
-        except UnsolvableError:
-            if not removed:
-                raise
-            # a parked agent cut someone off; all that is left is stop-all
-            break
+    except DeadlineExceeded:
+        pass  # no removal round follows: the whole fleet stops
 
     # stop-all: every participant gets a command, namely wait
     return result({}, "stop_all")

@@ -33,6 +33,13 @@ Koenig, AIJ 2021): when a banned cell is the only way through, the
 search ends once the states before the ban run out, instead of after
 the whole (cell, t) space up to the horizon.
 
+The long searches take the solve's `SearchLimits`, which holds its one
+deadline: constrained A* ticks it once per expansion, a
+`BlockedGoalTable` checks it every `stride` settled cells, and either
+raises `DeadlineExceeded` once the deadline is reached.
+`bidirectional_astar` and `goal_distances` take none; the solver checks
+the deadline before each call.
+
 Path cost convention: entering a cell costs its `cell_cost`; the start
 cell itself is free. A wait charges the current cell again, so idling on
 bad terrain is penalized.
@@ -43,6 +50,7 @@ from __future__ import annotations
 import heapq
 import itertools
 import math
+import time
 from array import array
 from dataclasses import dataclass, field
 from typing import NamedTuple
@@ -55,7 +63,8 @@ class Unreachable(Exception):
 
 
 class DeadlineExceeded(Exception):
-    """Internal signal: the wall-clock budget ran out mid-search."""
+    """Internal signal: a search reached the solve's deadline
+    (`SearchLimits.check`); `cbs.solve` catches it and stops the fleet."""
 
 
 @dataclass(frozen=True)
@@ -281,21 +290,25 @@ def start_distances(grid: WeightedGridMap, start: Cell) -> dict:
 
 @dataclass
 class SearchLimits:
-    """Shared wall-clock budget for low-level searches.
+    """The deadline of one solve, shared by every search in it.
 
-    `check` is consulted every `stride` expansions; it returns True when
-    the budget is gone.
+    `deadline` is a `time.monotonic()` instant (inf: none). `check()`
+    raises `DeadlineExceeded` once it is reached; `tick()` counts one
+    expansion and checks every `stride` of them.
     """
 
-    check: object = None
+    deadline: float = math.inf
     stride: int = 1024
     expansions: int = field(default=0)
 
+    def check(self) -> None:
+        if time.monotonic() >= self.deadline:
+            raise DeadlineExceeded()
+
     def tick(self) -> None:
         self.expansions += 1
-        if self.check is not None and self.expansions % self.stride == 0:
-            if self.check():
-                raise DeadlineExceeded()
+        if self.expansions % self.stride == 0:
+            self.check()
 
 
 class BlockedGoalTable:
@@ -329,7 +342,7 @@ class BlockedGoalTable:
         """Cost-to-goal from the cell at flat index `index`, inf when the
         goal is out of reach.
 
-        Every `limits.stride` settled cells `limits.check` is consulted
+        Every `limits.stride` settled cells `limits.check()` runs
         (settling is not counted as expansions); a `DeadlineExceeded`
         leaves the table whole, to be resumed by a later query.
         """
@@ -339,7 +352,6 @@ class BlockedGoalTable:
         costs, offsets = self.grid._costs, self.grid._offsets
         blocked, settled = self.blocked, self._settled
         labels, frontier = self._labels, self._frontier
-        check = limits.check if limits is not None else None
         while frontier:
             d, u = heapq.heappop(frontier)
             if u in settled:
@@ -353,8 +365,8 @@ class BlockedGoalTable:
                     heapq.heappush(frontier, (nd, v))
             # checked only once `u` is fully settled, so a raise here
             # leaves nothing half done
-            if check is not None and len(settled) % limits.stride == 0 and check():
-                raise DeadlineExceeded()
+            if limits is not None and len(settled) % limits.stride == 0:
+                limits.check()
             if u == index:
                 return d
         return math.inf

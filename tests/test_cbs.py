@@ -1,5 +1,6 @@
 """Multi-agent solver: conflict detection, tree search, fallbacks, deadline."""
 
+import math
 import random
 import time
 from dataclasses import replace
@@ -7,6 +8,7 @@ from dataclasses import replace
 import pytest
 
 import sitepath.cbs as cbs
+import sitepath.lowlevel as lowlevel
 from sitepath.cbs import (
     Conflict,
     PlanResult,
@@ -28,8 +30,10 @@ from sitepath.lowlevel import (
     Agent,
     Constraint,
     DeadlineExceeded,
+    SearchLimits,
     TimedPath,
     Unreachable,
+    bidirectional_astar,
     constrained_astar,
     goal_distances,
     path_cost,
@@ -328,7 +332,7 @@ def test_ct_children_never_get_cheaper():
             for i in range(2)
         ]
         try:
-            solution = _initial_solution(grid, agents)
+            solution = _initial_solution(grid, agents, SearchLimits())
         except UnsolvableError:
             continue
         frontier = [(solution, [])]
@@ -649,10 +653,10 @@ def test_joint_search_reads_tables_from_its_store(table_builds):
         truth = joint_state_cost(grid, agents)
         if truth is None:
             continue
-        store = _GoalTables(grid)
+        store = _GoalTables(grid, SearchLimits())
         for a in agents:
             store[a.goal] = goal_distances(grid, a.goal)
-        schedule = _joint_search(grid, agents, time.monotonic() + 60, store)
+        schedule = _joint_search(grid, agents, SearchLimits(), store)
         assert table_builds == []
         assert find_conflicts(schedule) == []
         assert sic(schedule) == pytest.approx(truth)
@@ -693,7 +697,9 @@ def test_stranded_cascade_blocks_each_round_in_one_map(monkeypatch):
     assert len(rounds) == 1
     assert blocked == [{by_id["agent15"].start, by_id["agent6"].start}]
     # the round was handed exactly the root conflicts of the first attempt
-    assert rounds[0] == find_conflicts(_initial_solution(scenario.grid, scenario.agents))
+    assert rounds[0] == find_conflicts(
+        _initial_solution(scenario.grid, scenario.agents, SearchLimits())
+    )
 
 
 @pytest.mark.parametrize("second_attempt", ["deadline", "coupled"])
@@ -709,6 +715,8 @@ def test_reaching_the_deadline_stops_the_fleet_at_once(monkeypatch, second_attem
     def second_reaches_deadline(*args):
         attempts.append(args[1])
         if len(attempts) == 2:
+            if second_attempt == "deadline":
+                raise DeadlineExceeded()
             raise cbs._FallbackNeeded(second_attempt)
         return search_ct(*args)
 
@@ -749,7 +757,9 @@ def test_a_deadline_gives_the_far_plan_or_stop_all(monkeypatch):
         paths = {i: p.cells for i, p in result.schedule.items()}
         return result.status, result.removed_agents, paths
 
-    monkeypatch.setattr(cbs, "time", StepClock(5.0 / 800))
+    clock = StepClock(5.0 / 800)
+    monkeypatch.setattr(cbs, "time", clock)
+    monkeypatch.setattr(lowlevel, "time", clock)
     kept = stopped = 0
     for name in ("archetype-2-open-50", "archetype-4-bridge"):
         for seed in range(10):
@@ -761,3 +771,42 @@ def test_a_deadline_gives_the_far_plan_or_stop_all(monkeypatch):
             assert near == far, (name, seed)
             kept += 1
     assert kept and stopped
+
+
+def test_a_deadline_in_the_initial_proposals_stops_the_fleet(monkeypatch):
+    # one clock read starts the solve and one comes before each proposal:
+    # 10 s on a clock that advances 1 s a read is spent at the tenth
+    clock = StepClock(1.0)
+    monkeypatch.setattr(cbs, "time", clock)
+    monkeypatch.setattr(lowlevel, "time", clock)
+    proposed = []
+    searched = []
+    search_ct = cbs._search_ct
+
+    def recording_proposal(grid, start, goal):
+        proposed.append(start)
+        return bidirectional_astar(grid, start, goal)
+
+    def recording_search(*args):
+        searched.append(args)
+        return search_ct(*args)
+
+    monkeypatch.setattr(cbs, "bidirectional_astar", recording_proposal)
+    monkeypatch.setattr(cbs, "_search_ct", recording_search)
+    scenario = archetype_scenario("archetype-2-open-50", 0, deadline_s=10)
+    result = solve(scenario)
+
+    assert 0 < len(proposed) < len(scenario.agents)
+    assert searched == []
+    assert result.status == "stop_all"
+    assert result.removed_agents == []
+    for agent in scenario.agents:
+        assert result.schedule[agent.id].cells == [agent.start]
+
+
+def test_a_goal_table_is_not_built_past_the_deadline(table_builds):
+    grid = _uniform_grid()
+    tables = _GoalTables(grid, SearchLimits(deadline=-math.inf))
+    with pytest.raises(DeadlineExceeded):
+        tables[Cell(4, 4)]
+    assert table_builds == []

@@ -189,11 +189,35 @@ def test_every_search_gets_the_solves_own_deadline():
         f"cbs.py:{node.lineno}: {node.func.id}"
         for node in calls
         if not any(
-            isinstance(arg, ast.Name) and arg.id == "deadline"
+            isinstance(arg, ast.Name) and arg.id == "limits"
             for arg in node.args + [k.value for k in node.keywords]
         )
     ]
     assert not split, split
+
+
+def test_only_search_limits_compares_the_clock_with_a_deadline():
+    # one object holds the deadline and every search checks it; a clock
+    # compared anywhere else would be a deadline path of its own
+    found = []
+    for path in SOURCES:
+        tree = ast.parse(path.read_text(), filename=str(path))
+        exempt = set()
+        for cls in tree.body:
+            if isinstance(cls, ast.ClassDef) and cls.name == "SearchLimits":
+                for method in cls.body:
+                    if isinstance(method, ast.FunctionDef) and method.name == "check":
+                        exempt.update(map(id, ast.walk(method)))
+        found += [
+            f"{path.name}:{node.lineno}"
+            for node in ast.walk(tree)
+            if isinstance(node, ast.Compare) and id(node) not in exempt
+            for operand in [node.left, *node.comparators]
+            if isinstance(operand, ast.Call)
+            and isinstance(operand.func, ast.Attribute)
+            and operand.func.attr == "monotonic"
+        ]
+    assert not found, found
 
 
 def test_replan_reads_no_clock_rule_of_its_own():

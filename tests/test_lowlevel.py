@@ -7,6 +7,7 @@ from dataclasses import replace
 import pytest
 
 import sitepath.cbs as cbs
+import sitepath.lowlevel as lowlevel
 from sitepath.grid import Cell, parse_map
 from sitepath.lowlevel import (
     Agent,
@@ -34,6 +35,7 @@ from oracles import (
     random_free_cell,
     random_map,
 )
+from scenarios import StepClock
 
 UNIFORM = "map 5 5 10\nlayer flat 1\n" + "\n".join(["1 1 1 1 1"] * 5) + "\n"
 
@@ -238,7 +240,7 @@ def test_blocked_goal_table_matches_reference():
     assert banned_goals and unreachable
 
 
-def test_blocked_goal_table_resumes_after_deadline():
+def test_blocked_goal_table_resumes_after_deadline(monkeypatch):
     """A deadline raised while settling leaves a table that later queries
     finish correctly; settling is not counted as expansions."""
     rng = random.Random(23)
@@ -253,8 +255,10 @@ def test_blocked_goal_table_resumes_after_deadline():
         if len(truth) < 6:  # the deadline must come before the last cell
             continue
         table = BlockedGoalTable(grid, goal, frozenset(_index(grid, c) for c in cells))
-        calls = []
-        limits = SearchLimits(check=lambda: calls.append(1) or len(calls) >= 2, stride=2)
+        # one clock read per check: the second check, at the fourth
+        # settled cell, reaches the deadline
+        monkeypatch.setattr(lowlevel, "time", StepClock(1.0))
+        limits = SearchLimits(deadline=2.0, stride=2)
         far = max(truth, key=truth.get)
         with pytest.raises(DeadlineExceeded):
             table.distance(_index(grid, far), limits)
@@ -383,7 +387,7 @@ def test_onward_ban_equals_its_per_step_expansion():
                 Constraint("m", random_free_cell(grid, rng), rng.randint(1, 5))
             )
         expanded = _per_step(constraints, h)
-        tables = cbs._GoalTables(grid) if rng.random() < 0.5 else None
+        tables = cbs._GoalTables(grid, SearchLimits()) if rng.random() < 0.5 else None
         outcomes = []
         for form in (constraints, expanded):
             limits = SearchLimits()
@@ -570,10 +574,11 @@ def test_horizon_limits_search():
         constrained_astar(grid, agent, horizon=2)
 
 
-def test_search_limits_abort():
+def test_search_limits_abort(monkeypatch):
     grid = parse_map(UNIFORM)
     agent = Agent(id="m", start=Cell(0, 0), goal=Cell(4, 4), priority=1.0)
-    limits = SearchLimits(check=lambda: True, stride=1)
+    monkeypatch.setattr(lowlevel, "time", StepClock(1.0))
+    limits = SearchLimits(deadline=1.0, stride=1)
     with pytest.raises(DeadlineExceeded):
         constrained_astar(grid, agent, limits=limits)
 

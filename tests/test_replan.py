@@ -330,9 +330,10 @@ def test_replan_deadline_contract():
 
 
 def test_a_deadline_gives_the_far_replan_or_stop_all(monkeypatch):
-    # 5 s is 20 reads of the step clock: enough for some replans, too few
-    # for the others. Whichever it is, the replan may not mix the two: it
-    # returns what 600 s on the real clock gives, or stop-all
+    # 5 s is 100 reads of the step clock: enough for some replans (60 to
+    # 89 reads, as every proposal and CT pop reads it), too few for the
+    # others (197 or more). Whichever it is, the replan may not mix the
+    # two: it returns what 600 s on the real clock gives, or stop-all
     def outcome(result):
         paths = {i: p.cells for i, p in result.schedule.items()}
         return result.status, result.removed_agents, result.midway_goals, paths
@@ -353,9 +354,10 @@ def test_a_deadline_gives_the_far_replan_or_stop_all(monkeypatch):
                 assert str(exc) == "agent starts must be pairwise distinct"
                 continue
             with monkeypatch.context() as patch:
-                clock = StepClock(5.0 / 20)
+                clock = StepClock(5.0 / 100)
                 patch.setattr("sitepath.cbs.time", clock)
                 patch.setattr("sitepath.replan.time", clock)
+                patch.setattr("sitepath.lowlevel.time", clock)
                 near = outcome(replan(moved, deadline_s=5))
             if near[0] == "stop_all":
                 stopped += 1
